@@ -309,8 +309,10 @@ fn bench_ac_kernels(c: &mut Criterion) {
 }
 
 /// One full TIA corner-set noise analysis (6 corners x the noise grid)
-/// through the three pipelines — serial per corner, lockstep batch (the
-/// cold bitwise backbone), and base-plus-Woodbury corrected (the warm
+/// through the three pipelines — serial per corner, the cold batched
+/// dispatcher (per-corner scalar arithmetic, threaded over the corner ×
+/// frequency grid when lanes are granted), and base-plus-Woodbury
+/// corrected (the warm
 /// fast path, per-source base solves shared across corners) — over the
 /// same [`autockt_bench::NoiseCornerCase`] workloads as `bench_env_step`'s
 /// noise-corner section.

@@ -46,46 +46,38 @@
 //!   analysis moves.
 //! - **noise-corner** — one full TIA noise analysis of the PVT corner
 //!   set (6 corners x the noise grid), run serial per corner
-//!   (`noise_analysis_ws`), lockstep (`noise_analysis_batch`, the cold
-//!   bitwise backbone), and corner-corrected
+//!   (`noise_analysis_ws`), through the cold batched dispatcher
+//!   (`noise_analysis_batch`: per-corner scalar arithmetic, threaded over
+//!   the corner × frequency grid when lanes are granted), and
+//!   corner-corrected
 //!   (`noise_analysis_corners`, base factor + Woodbury with shared
 //!   per-source base solves — the warm fast path), at stock and dense
 //!   mesh dims.
 //! - **settle-corner** — one full TIA corner-set settling integration
 //!   (2048 trapezoidal steps per corner on a shared time window), run
 //!   serial per corner (`step_response`, the pre-batching behaviour),
-//!   corner-batched (`step_response_corners`: a precomputed affine
+//!   and corner-batched (`step_response_corners`: a precomputed affine
 //!   propagator per corner at dense dims, one base companion factor +
-//!   per-corner Woodbury corrections at sparse dims), and symbolic-shared
-//!   (`step_response_corners_shared`: one sparse symbolic analysis +
-//!   AMD ordering, `refactor` per corner), at the stock/dense mesh
-//!   dims and at the sparse-backend mesh dims.
+//!   per-corner Woodbury corrections at sparse dims), at the stock/dense
+//!   mesh dims and at the sparse-backend mesh dims.
 //! - **sparse-solver** — the dense SoA refactor+solve path versus the
 //!   CSC sparse-LU refactor path (symbolic analysis reused, values
 //!   rewritten per point) on the TIA's extracted mesh systems from the
 //!   lumped dim up past 190, locating the backend crossover dim that
 //!   `SolverConfig`'s Auto dispatch encodes; plus full `PexWorstCase`
 //!   environment stepping at deep meshes, forced-dense vs Auto.
-//! - **btf** — the plain whole-matrix sparse LU versus the
-//!   block-triangular-form (`BtfLu`) mode on the same TIA mesh systems:
-//!   per-AC-point refactor+solve time and factor fill
-//!   (`factor_nnz`) for both, plus the Dulmage–Mendelsohn block count,
-//!   quantifying what the BTF decomposition buys (or costs) on MNA
-//!   patterns whose feedback loops merge most of the matrix into one
-//!   strongly connected block.
 //! - **machine-saturation** — the tile scheduler's forced-lane rows:
 //!   dense-mesh TIA `PexWorstCase` stepping at `Parallelism::Off` vs
 //!   `Threads(n)` (steps/sec vs total threads), threaded-scalar corner
 //!   evaluation vs the batched-lockstep engine (does threading the
-//!   scalar kernels beat SIMD over the corner axis?), and threaded BTF
-//!   block factoring on the dim-116+ extracted meshes. The host's
+//!   scalar kernels beat SIMD over the corner axis?). The host's
 //!   `available_parallelism` and the scheduler's configured budget are
 //!   recorded in the header; on a saturated or single-core host these
 //!   rows are *losses*, and they are recorded exactly as measured —
 //!   the point of the section is the honest crossover, not a best case.
 //!
 //! Prints a comparison table and writes `results/BENCH_env_step.json`
-//! (schema `autockt/bench_env_step/v8`) so CI can archive the trajectory.
+//! (schema `autockt/bench_env_step/v9`) so CI can archive the trajectory.
 //!
 //! Run: `cargo run --release -p autockt_bench --bin bench_env_step`
 //! (`--steps N`, `--episode H`, `--seed S` to override).
@@ -101,11 +93,10 @@ use autockt_sim::ac::{AcBatchWorkspace, AcSolver, AcWorkspace};
 use autockt_sim::complex::Complex;
 use autockt_sim::dc::OpPoint;
 use autockt_sim::linalg::sparse::{CscMatrix, SparseLu, TripletList};
-use autockt_sim::linalg::structure::BtfLu;
 use autockt_sim::linalg::{ComplexLuSoa, LuFactors};
 use autockt_sim::noise::{noise_analysis_batch, noise_analysis_corners, noise_analysis_ws};
 use autockt_sim::pex::PexConfig;
-use autockt_sim::tran::{step_response_corners, step_response_corners_shared};
+use autockt_sim::tran::step_response_corners;
 use autockt_sim::{Parallelism, SolverConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -251,8 +242,8 @@ struct NoiseCornerStats {
 }
 
 /// One full corner-set noise analysis per iteration through the three
-/// paths — serial per corner, lockstep batch, and base-plus-Woodbury
-/// corrected — over the shared [`NoiseCornerCase`] workload (the
+/// paths — serial per corner, the cold batched dispatcher, and
+/// base-plus-Woodbury corrected — over the shared [`NoiseCornerCase`] workload (the
 /// criterion `noise_corners_*` benches drive the identical cases).
 fn time_noise_corner_paths(case: &NoiseCornerCase, iters: u32) -> NoiseCornerStats {
     let solvers: Vec<AcSolver<'_>> = case
@@ -300,14 +291,12 @@ fn time_noise_corner_paths(case: &NoiseCornerCase, iters: u32) -> NoiseCornerSta
 struct SettleCornerStats {
     serial_us: f64,
     corrected_us: f64,
-    shared_us: f64,
 }
 
 /// One full corner-set settling integration per iteration through the
-/// three paths — serial per corner (`step_response`), corner-batched
+/// two paths — serial per corner (`step_response`) and corner-batched
 /// (`step_response_corners`: propagator at dense dims, Woodbury at
-/// sparse dims), and symbolic-shared sparse
-/// (`step_response_corners_shared`) — over the shared
+/// sparse dims) — over the shared
 /// [`SettleCornerCase`] workload (the criterion `settle_corners_*`
 /// benches drive the identical cases).
 fn time_settle_corner_paths(case: &SettleCornerCase, iters: u32) -> SettleCornerStats {
@@ -336,17 +325,9 @@ fn time_settle_corner_paths(case: &SettleCornerCase, iters: u32) -> SettleCorner
     }
     let corrected_us = t0.elapsed().as_secs_f64() * 1e6 / iters as f64;
 
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        let r = step_response_corners_shared(&refs, &outs, case.t_stop, case.steps);
-        black_box(r.len());
-    }
-    let shared_us = t0.elapsed().as_secs_f64() * 1e6 / iters as f64;
-
     SettleCornerStats {
         serial_us,
         corrected_us,
-        shared_us,
     }
 }
 
@@ -488,157 +469,6 @@ fn time_sparse_kernels(case: &AcKernelCase, iters: u32) -> SparseKernelStats {
         nnz: csc.nnz(),
         dense_us,
         sparse_us,
-    }
-}
-
-struct BtfKernelStats {
-    dim: usize,
-    nnz: usize,
-    nblocks: usize,
-    plain_us: f64,
-    btf_us: f64,
-    plain_fill: usize,
-    btf_fill: usize,
-}
-
-/// One AC frequency point per iteration through the plain whole-matrix
-/// `SparseLu` versus the BTF `BtfLu` mode, both on the warm path (value
-/// rewrite + refactor reusing the symbolic analysis + solve). Fill is the
-/// structural nonzero count of the computed factors — for BTF the block
-/// factors plus the raw off-diagonal entries.
-fn time_btf_kernels(case: &AcKernelCase, iters: u32) -> BtfKernelStats {
-    let AcKernelCase {
-        n, w, pattern, rhs, ..
-    } = case;
-    let (n, w) = (*n, *w);
-    let mut trip: TripletList<Complex> = TripletList::new(n);
-    for &(r, c, gg, cc) in pattern {
-        trip.push(r, c, Complex::new(gg, cc));
-    }
-    let mut csc = CscMatrix::empty();
-    trip.compress_into(&mut csc);
-    let base: Vec<Complex> = csc.values().to_vec();
-    let rescale = |csc: &mut CscMatrix<Complex>| {
-        for (v, b) in csc.values_mut().iter_mut().zip(&base) {
-            *v = Complex::new(b.re, w * b.im);
-        }
-    };
-    rescale(&mut csc);
-
-    let mut plain = SparseLu::factor(&csc, 1e-300).expect("nonsingular");
-    let mut xp = Vec::new();
-    plain.solve_into(rhs, &mut xp);
-    let mut btf = BtfLu::empty();
-    btf.refactor(&csc, 1e-300).expect("nonsingular");
-    let mut xb = Vec::new();
-    btf.solve_into(rhs, &mut xb);
-    // Sanity gate: both modes must agree before we time them.
-    for (p, b) in xp.iter().zip(&xb) {
-        let diff = (*p - *b).norm();
-        assert!(
-            diff <= 1e-6 * (1.0 + p.norm()),
-            "plain/btf sparse modes diverge at dim {n}: {diff}"
-        );
-    }
-
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        rescale(black_box(&mut csc));
-        plain.refactor(&csc, 1e-300).expect("nonsingular");
-        plain.solve_into(rhs, &mut xp);
-        black_box(xp.last());
-    }
-    let plain_us = t0.elapsed().as_secs_f64() * 1e6 / iters as f64;
-
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        rescale(black_box(&mut csc));
-        btf.refactor(&csc, 1e-300).expect("nonsingular");
-        btf.solve_into(rhs, &mut xb);
-        black_box(xb.last());
-    }
-    let btf_us = t0.elapsed().as_secs_f64() * 1e6 / iters as f64;
-
-    BtfKernelStats {
-        dim: n,
-        nnz: csc.nnz(),
-        nblocks: btf.nblocks(),
-        plain_us,
-        btf_us,
-        plain_fill: plain.factor_nnz(),
-        btf_fill: btf.factor_nnz(),
-    }
-}
-
-struct BtfThreadStats {
-    dim: usize,
-    nblocks: usize,
-    serial_us: f64,
-    threaded_us: f64,
-}
-
-/// One AC frequency point per iteration through `BtfLu` with the tile
-/// scheduler off versus forced to `threads` lanes over the BTF blocks
-/// (value rewrite + refactor + solve both ways). The two modes are
-/// bitwise-identical by contract — asserted before timing — so these
-/// rows measure pure scheduling overhead vs block-level concurrency.
-fn time_btf_threads(case: &AcKernelCase, iters: u32, threads: usize) -> BtfThreadStats {
-    let AcKernelCase {
-        n, w, pattern, rhs, ..
-    } = case;
-    let (n, w) = (*n, *w);
-    let mut trip: TripletList<Complex> = TripletList::new(n);
-    for &(r, c, gg, cc) in pattern {
-        trip.push(r, c, Complex::new(gg, cc));
-    }
-    let mut csc = CscMatrix::empty();
-    trip.compress_into(&mut csc);
-    let base: Vec<Complex> = csc.values().to_vec();
-    let rescale = |csc: &mut CscMatrix<Complex>| {
-        for (v, b) in csc.values_mut().iter_mut().zip(&base) {
-            *v = Complex::new(b.re, w * b.im);
-        }
-    };
-    rescale(&mut csc);
-
-    let mut serial = BtfLu::empty();
-    serial.set_parallelism(Parallelism::Off);
-    serial.refactor(&csc, 1e-300).expect("nonsingular");
-    let mut xs = Vec::new();
-    serial.solve_into(rhs, &mut xs);
-    let mut btf = BtfLu::empty();
-    btf.set_parallelism(Parallelism::Threads(threads));
-    btf.refactor(&csc, 1e-300).expect("nonsingular");
-    let mut xt = Vec::new();
-    btf.solve_into(rhs, &mut xt);
-    assert_eq!(
-        xs, xt,
-        "threaded BTF diverged from serial at dim {n} with {threads} lanes"
-    );
-
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        rescale(black_box(&mut csc));
-        serial.refactor(&csc, 1e-300).expect("nonsingular");
-        serial.solve_into(rhs, &mut xs);
-        black_box(xs.last());
-    }
-    let serial_us = t0.elapsed().as_secs_f64() * 1e6 / iters as f64;
-
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        rescale(black_box(&mut csc));
-        btf.refactor(&csc, 1e-300).expect("nonsingular");
-        btf.solve_into(rhs, &mut xt);
-        black_box(xt.last());
-    }
-    let threaded_us = t0.elapsed().as_secs_f64() * 1e6 / iters as f64;
-
-    BtfThreadStats {
-        dim: n,
-        nblocks: btf.nblocks(),
-        serial_us,
-        threaded_us,
     }
 }
 
@@ -895,7 +725,7 @@ fn main() {
     }
 
     // Noise-corner paths: one full TIA corner-set noise analysis through
-    // the serial, corrected (Woodbury), and lockstep-batch pipelines, at
+    // the serial, corrected (Woodbury), and cold batched pipelines, at
     // stock and dense mesh dims.
     println!(
         "\n{:<8} {:>5} {:>4} {:>12} {:>13} {:>11} {:>8} {:>8}",
@@ -940,24 +770,21 @@ fn main() {
     }
 
     // Settle-corner paths: one full TIA corner-set settling integration
-    // through the serial, corner-batched, and symbolic-shared sparse
-    // pipelines, at the dense dims (mesh 0/4) and sparse dims (mesh
-    // 8/16). The corrected column is the warm engine fast path; the
-    // shared column is the cold sparse path (one symbolic analysis + AMD
-    // ordering, refactor per corner).
+    // through the serial and corner-batched pipelines, at the dense dims
+    // (mesh 0/4) and sparse dims (mesh 8/16). The corrected column is the
+    // warm engine fast path; the cold path is the serial one.
     println!(
-        "\n{:<8} {:>5} {:>4} {:>12} {:>13} {:>11} {:>8} {:>8}",
-        "problem", "mesh", "dim", "serial us", "corrected us", "shared us", "corr x", "shrd x"
+        "\n{:<8} {:>5} {:>4} {:>12} {:>13} {:>8}",
+        "problem", "mesh", "dim", "serial us", "corrected us", "corr x"
     );
     let mut settle_rows = Vec::new();
     for (depth, iters) in [(0usize, 40u32), (4, 20), (8, 10), (16, 6)] {
         let case = tia_settle_corner_case(depth).expect("TIA settle corner workload builds");
         let st = time_settle_corner_paths(&case, iters);
         let corr_x = st.serial_us / st.corrected_us;
-        let shared_x = st.serial_us / st.shared_us;
         println!(
-            "{:<8} {:>5} {:>4} {:>12.1} {:>13.1} {:>11.1} {:>7.2}x {:>7.2}x",
-            "tia", depth, case.dim, st.serial_us, st.corrected_us, st.shared_us, corr_x, shared_x
+            "{:<8} {:>5} {:>4} {:>12.1} {:>13.1} {:>7.2}x",
+            "tia", depth, case.dim, st.serial_us, st.corrected_us, corr_x
         );
         settle_rows.push(format!(
             concat!(
@@ -969,9 +796,7 @@ fn main() {
                 "      \"settle_steps\": {},\n",
                 "      \"serial_us_per_set\": {:.2},\n",
                 "      \"corrected_us_per_set\": {:.2},\n",
-                "      \"shared_us_per_set\": {:.2},\n",
-                "      \"corrected_speedup\": {:.3},\n",
-                "      \"shared_speedup\": {:.3}\n",
+                "      \"corrected_speedup\": {:.3}\n",
                 "    }}"
             ),
             depth,
@@ -980,9 +805,7 @@ fn main() {
             case.steps,
             st.serial_us,
             st.corrected_us,
-            st.shared_us,
-            corr_x,
-            shared_x
+            corr_x
         ));
     }
 
@@ -1059,74 +882,6 @@ fn main() {
                 "    }}"
             ),
             case.name, depth, st.dim, st.nnz, st.dense_us, st.sparse_us, speedup
-        ));
-    }
-
-    // BTF-vs-plain sparse modes: per-AC-point refactor+solve and factor
-    // fill on the same TIA mesh systems, plus the block count the
-    // Dulmage–Mendelsohn decomposition finds. MNA patterns with global
-    // feedback (the TIA's gm stamps) tend to merge into few blocks, so
-    // these rows keep the decomposition's real payoff honest.
-    println!(
-        "\n{:<10} {:>4} {:>6} {:>7} {:>13} {:>11} {:>10} {:>9} {:>7}",
-        "system",
-        "dim",
-        "nnz",
-        "blocks",
-        "plain us/pt",
-        "btf us/pt",
-        "plain nnz",
-        "btf nnz",
-        "btf x"
-    );
-    let mut btf_rows = Vec::new();
-    for (depth, iters) in [
-        (0usize, 50_000u32),
-        (4, 8_000),
-        (8, 2_000),
-        (16, 400),
-        (24, 150),
-    ] {
-        let case = tia_mesh_kernel_case(depth).expect("TIA mesh workload builds");
-        let st = time_btf_kernels(&case, iters);
-        let speedup = st.plain_us / st.btf_us;
-        println!(
-            "{:<10} {:>4} {:>6} {:>7} {:>13.2} {:>11.2} {:>10} {:>9} {:>6.2}x",
-            case.name,
-            st.dim,
-            st.nnz,
-            st.nblocks,
-            st.plain_us,
-            st.btf_us,
-            st.plain_fill,
-            st.btf_fill,
-            speedup
-        );
-        btf_rows.push(format!(
-            concat!(
-                "    {{\n",
-                "      \"system\": \"{}\",\n",
-                "      \"mesh_depth\": {},\n",
-                "      \"dim\": {},\n",
-                "      \"nnz\": {},\n",
-                "      \"nblocks\": {},\n",
-                "      \"plain_us_per_point\": {:.3},\n",
-                "      \"btf_us_per_point\": {:.3},\n",
-                "      \"plain_factor_nnz\": {},\n",
-                "      \"btf_factor_nnz\": {},\n",
-                "      \"btf_speedup\": {:.3}\n",
-                "    }}"
-            ),
-            case.name,
-            depth,
-            st.dim,
-            st.nnz,
-            st.nblocks,
-            st.plain_us,
-            st.btf_us,
-            st.plain_fill,
-            st.btf_fill,
-            speedup
         ));
     }
 
@@ -1334,52 +1089,10 @@ fn main() {
         ));
     }
 
-    // Threaded BTF block factoring on the extracted meshes past dim 116:
-    // forced lanes over the Dulmage–Mendelsohn blocks vs the serial
-    // block walk, bitwise-asserted before timing.
-    println!(
-        "\n{:<10} {:>4} {:>7} {:>8} {:>13} {:>13} {:>9}",
-        "system", "dim", "blocks", "threads", "serial us/pt", "thread us/pt", "thread x"
-    );
-    let mut sat_btf_rows = Vec::new();
-    for (depth, iters) in [(8usize, 2_000u32), (16, 400)] {
-        let case = tia_mesh_kernel_case(depth).expect("TIA mesh workload builds");
-        for threads in [2usize, 4] {
-            let st = time_btf_threads(&case, iters, threads);
-            let speedup = st.serial_us / st.threaded_us;
-            println!(
-                "{:<10} {:>4} {:>7} {:>8} {:>13.2} {:>13.2} {:>8.2}x",
-                case.name, st.dim, st.nblocks, threads, st.serial_us, st.threaded_us, speedup
-            );
-            sat_btf_rows.push(format!(
-                concat!(
-                    "      {{\n",
-                    "        \"system\": \"{}\",\n",
-                    "        \"mesh_depth\": {},\n",
-                    "        \"dim\": {},\n",
-                    "        \"nblocks\": {},\n",
-                    "        \"threads\": {},\n",
-                    "        \"serial_us_per_point\": {:.3},\n",
-                    "        \"threaded_us_per_point\": {:.3},\n",
-                    "        \"threaded_speedup\": {:.3}\n",
-                    "      }}"
-                ),
-                case.name,
-                depth,
-                st.dim,
-                st.nblocks,
-                threads,
-                st.serial_us,
-                st.threaded_us,
-                speedup
-            ));
-        }
-    }
-
     let json = format!(
         concat!(
             "{{\n",
-            "  \"schema\": \"autockt/bench_env_step/v8\",\n",
+            "  \"schema\": \"autockt/bench_env_step/v9\",\n",
             "  \"command\": \"cargo run --release -p autockt_bench --bin bench_env_step ",
             "-- --steps {} --episode {} --seed {}\",\n",
             "  \"steps_per_config\": {},\n",
@@ -1398,11 +1111,9 @@ fn main() {
             "    \"kernels\": [\n{}\n    ],\n",
             "    \"pex_worst_case\": [\n{}\n    ]\n",
             "  }},\n",
-            "  \"btf\": [\n{}\n  ],\n",
             "  \"machine_saturation\": {{\n",
             "    \"env_step\": [\n{}\n    ],\n",
-            "    \"scalar_vs_lockstep\": [\n{}\n    ],\n",
-            "    \"btf_blocks\": [\n{}\n    ]\n",
+            "    \"scalar_vs_lockstep\": [\n{}\n    ]\n",
             "  }}\n",
             "}}\n"
         ),
@@ -1423,10 +1134,8 @@ fn main() {
         SolverConfig::default().crossover,
         sparse_kernel_rows.join(",\n"),
         sparse_env_rows.join(",\n"),
-        btf_rows.join(",\n"),
         sat_env_rows.join(",\n"),
-        sat_cross_rows.join(",\n"),
-        sat_btf_rows.join(",\n")
+        sat_cross_rows.join(",\n")
     );
     let path = results_dir().join("BENCH_env_step.json");
     let mut f = std::fs::File::create(&path).expect("create bench json");

@@ -115,47 +115,11 @@ fn check_sparse_backend(
     failures
 }
 
-/// BTF gate: on every seed design, a cold `PexWorstCase` evaluation
-/// forced through the sparse backend with block-triangular-form
-/// factorization on must agree with the same backend with BTF off,
-/// within solver tolerance. Run at depth 0 (small, often irreducible
-/// systems — the degenerate single-block path) and at a mesh depth where
-/// the Dulmage–Mendelsohn decomposition has real blocks to find.
-fn check_btf_mode(
-    name: &str,
-    depth: usize,
-    plain: &dyn SizingProblem,
-    btf: &dyn SizingProblem,
-) -> usize {
-    let mut failures = 0;
-    for idx in seed_designs(plain) {
-        let p = plain.simulate(&idx, SimMode::PexWorstCase);
-        let b = btf.simulate(&idx, SimMode::PexWorstCase);
-        let ok = match (&p, &b) {
-            (Ok(a), Ok(c)) => {
-                a.len() == c.len()
-                    && a.iter()
-                        .zip(c)
-                        .all(|(x, y)| (x - y).abs() <= REL_TOL * (1.0 + x.abs().max(y.abs())))
-            }
-            (Err(_), Err(_)) => true,
-            _ => false,
-        };
-        let verdict = if ok { "ok" } else { "DIVERGED" };
-        println!("{name:<8} mesh={depth} idx={idx:?}: btf-vs-plain={ok} [{verdict}]");
-        if !ok {
-            eprintln!("  plain: {p:?}\n  btf: {b:?}");
-            failures += 1;
-        }
-    }
-    failures
-}
-
 /// Thread gate: on three seed designs per topology, a cold
 /// `PexWorstCase` evaluation with the tile scheduler forced to four
 /// lanes must be **bitwise-identical** to the `Parallelism::Off`
-/// reference — the threaded frequency sweeps, noise analyses, and BTF
-/// block factoring reorder no arithmetic under any schedule. Run at
+/// reference — the threaded frequency sweeps and noise analyses reorder
+/// no arithmetic under any schedule. Run at
 /// depth 0 (small systems: forced lanes on tiny tile counts, ragged
 /// tails) and at the fill-heavy extracted mesh.
 fn check_threaded(
@@ -384,50 +348,6 @@ fn main() {
             &NegGmOta::default()
                 .with_pex_config(ng_pex)
                 .with_solver_config(SolverConfig::sparse()),
-        );
-    }
-    // BTF-vs-plain sparse gate: both depth 0 (degenerate single-block
-    // territory) and the fill-heavy extracted mesh.
-    for depth in [0usize, 4] {
-        let mesh = |base: &PexConfig| PexConfig {
-            mesh_depth: depth,
-            ..base.clone()
-        };
-        let tia = Tia::default();
-        let tia_pex = mesh(tia.pex_config());
-        failures += check_btf_mode(
-            "tia",
-            depth,
-            &Tia::default()
-                .with_pex_config(tia_pex.clone())
-                .with_solver_config(SolverConfig::sparse().with_btf(false)),
-            &Tia::default()
-                .with_pex_config(tia_pex)
-                .with_solver_config(SolverConfig::sparse().with_btf(true)),
-        );
-        let op = OpAmp2::default();
-        let op_pex = mesh(op.pex_config());
-        failures += check_btf_mode(
-            "opamp2",
-            depth,
-            &OpAmp2::default()
-                .with_pex_config(op_pex.clone())
-                .with_solver_config(SolverConfig::sparse().with_btf(false)),
-            &OpAmp2::default()
-                .with_pex_config(op_pex)
-                .with_solver_config(SolverConfig::sparse().with_btf(true)),
-        );
-        let ng = NegGmOta::default();
-        let ng_pex = mesh(ng.pex_config());
-        failures += check_btf_mode(
-            "neggm",
-            depth,
-            &NegGmOta::default()
-                .with_pex_config(ng_pex.clone())
-                .with_solver_config(SolverConfig::sparse().with_btf(false)),
-            &NegGmOta::default()
-                .with_pex_config(ng_pex)
-                .with_solver_config(SolverConfig::sparse().with_btf(true)),
         );
     }
     // Threaded-vs-serial gate: forced four-lane tile schedules must be

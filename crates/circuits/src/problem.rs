@@ -16,7 +16,7 @@ use autockt_sim::netlist::{Circuit, Node};
 use autockt_sim::noise::{
     noise_analysis_batch, noise_analysis_cfg, noise_analysis_corners, NoiseResult,
 };
-use autockt_sim::tran::{step_response_corners, step_response_corners_shared};
+use autockt_sim::tran::step_response_corners;
 use autockt_sim::{Parallelism, SimError, SolverConfig};
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
@@ -144,11 +144,9 @@ pub type SettleRecord = Result<(Vec<f64>, Vec<f64>), SimError>;
 
 /// How a settle stage integrates its corner records.
 enum SettleDispatch {
-    /// Scalar per-corner kernel — the serial reference.
+    /// Scalar per-corner kernel — the serial reference, and the cold
+    /// batched path.
     Scalar,
-    /// Scalar arithmetic with the sparse symbolic analysis shared across
-    /// the corner set (cold batched: bitwise-equal to `Scalar`).
-    Shared,
     /// Corner-batched sweep — dense propagator or sparse
     /// base-plus-Woodbury by regime (warm batched: within solver
     /// tolerance).
@@ -276,10 +274,10 @@ impl CornerEvaluator {
 
     /// Sets the parallel-execution policy
     /// ([`autockt_sim::Parallelism`]) on the engine's solver config: the
-    /// AC sweeps, noise analyses, and sparse BTF factorizations the
-    /// engine runs tile their independent work across threads per this
-    /// knob (threaded results are bitwise-identical to serial, so the
-    /// engine's dispatch contracts are unaffected). Keeps every other
+    /// AC sweeps and noise analyses the engine runs tile their
+    /// independent (frequency or corner × frequency) work across threads
+    /// per this knob (threaded results are bitwise-identical to serial,
+    /// so the engine's dispatch contracts are unaffected). Keeps every other
     /// config field as previously set.
     pub fn with_parallelism(mut self, par: Parallelism) -> Self {
         self.dc_opts.solver = self.dc_opts.solver.with_parallelism(par);
@@ -291,8 +289,10 @@ impl CornerEvaluator {
     /// measure closure. Running noise *inside* the engine (instead of in
     /// the closure) is what lets the batched strategy corner-correct it:
     /// serial corners run the scalar [`noise_analysis_ws`], cold batched
-    /// runs the lockstep [`noise_analysis_batch`] (bitwise-identical per
-    /// corner), and warm batched runs the Woodbury-corrected
+    /// runs [`noise_analysis_batch`] (the same scalar arithmetic per
+    /// corner, threaded over the corner × frequency grid when the
+    /// scheduler grants lanes — bitwise-identical per corner), and warm
+    /// batched runs the Woodbury-corrected
     /// [`noise_analysis_corners`] with the per-source base solves shared
     /// across the corner set.
     pub fn with_noise(mut self, freqs: Vec<f64>) -> Self {
@@ -309,10 +309,9 @@ impl CornerEvaluator {
     /// their pre-engine local measurement).
     ///
     /// Running settling *inside* the engine is what lets the batched
-    /// strategy corner-batch it: serial corners integrate through the
-    /// scalar [`AcSolver::step_response`], cold batched shares the sparse
-    /// symbolic analysis across the set (`step_response_corners_shared`,
-    /// bitwise-identical per corner), and warm batched runs
+    /// strategy corner-batch it: serial and cold batched corners
+    /// integrate through the scalar [`AcSolver::step_response`]
+    /// (bitwise-identical per corner), and warm batched runs
     /// `step_response_corners` — each corner's constant companion folded
     /// into a precomputed affine propagator at dense dims, base-factor +
     /// Woodbury sibling correction at sparse dims.
@@ -360,15 +359,10 @@ impl CornerEvaluator {
                     slots[i] = Some(solvers[i].step_response(outs[i], t_stop, spec.steps));
                 }
             }
-            SettleDispatch::Shared | SettleDispatch::Corrected => {
+            SettleDispatch::Corrected => {
                 let ls: Vec<&AcSolver<'_>> = live.iter().map(|&i| &solvers[i]).collect();
                 let lo: Vec<Node> = live.iter().map(|&i| outs[i]).collect();
-                let recs = match dispatch {
-                    SettleDispatch::Shared => {
-                        step_response_corners_shared(&ls, &lo, t_stop, spec.steps)
-                    }
-                    _ => step_response_corners(&ls, &lo, t_stop, spec.steps),
-                };
+                let recs = step_response_corners(&ls, &lo, t_stop, spec.steps);
                 for (&i, r) in live.iter().zip(recs) {
                     slots[i] = Some(r);
                 }
@@ -396,7 +390,8 @@ impl CornerEvaluator {
     ///
     /// Returns the first corner failure (unsolvable operating point,
     /// singular sweep, or measurement error) — same contract as
-    /// `SizingProblem::simulate`.
+    /// `SizingProblem::simulate` — and [`SimError::InvalidOptions`] for an
+    /// empty corner plan, before any `build` call.
     pub fn evaluate<B, M>(
         &self,
         specs: &[SpecDef],
@@ -417,6 +412,11 @@ impl CornerEvaluator {
             Option<&SettleRecord>,
         ) -> Result<Vec<f64>, SimError>,
     {
+        if self.plan.is_empty() {
+            return Err(SimError::InvalidOptions {
+                what: "empty corner plan",
+            });
+        }
         let rows = match self.strategy {
             CornerStrategy::Serial => self.rows_serial(build, measure, state)?,
             CornerStrategy::Batched => self.rows_batched(build, measure, state)?,
@@ -459,68 +459,7 @@ impl CornerEvaluator {
                 None => autockt_sim::dc::dc_operating_point(&case.ckt, &self.dc_opts)?,
             };
             let solver = AcSolver::new(&case.ckt, &op).with_config(self.dc_opts.solver);
-            let resp = match state.as_deref_mut() {
-                Some(st) => {
-                    let h =
-                        solver.solve_sources_batch_ws(&self.freqs, case.out, st.ac_workspace())?;
-                    AcResponse {
-                        freqs: self.freqs.clone(),
-                        h,
-                    }
-                }
-                None if self.dc_opts.solver.use_sparse(solver.dim()) => {
-                    // The generic dense kernel below is the equivalence
-                    // baseline and never dispatches sparse; a forced (or
-                    // auto-selected) sparse corner goes through the
-                    // workspace path, whose factorization honors the
-                    // backend config.
-                    let h = solver.solve_sources_batch_ws(
-                        &self.freqs,
-                        case.out,
-                        &mut AcWorkspace::default(),
-                    )?;
-                    AcResponse {
-                        freqs: self.freqs.clone(),
-                        h,
-                    }
-                }
-                None => {
-                    let mut h = Vec::with_capacity(self.freqs.len());
-                    for &f in &self.freqs {
-                        let x = solver.solve_sources(f)?;
-                        h.push(solver.voltage(&x, case.out));
-                    }
-                    AcResponse {
-                        freqs: self.freqs.clone(),
-                        h,
-                    }
-                }
-            };
-            // The scalar reference noise path: one analysis per corner
-            // through the same SoA kernel the warm serial path uses.
-            let noise = self
-                .noise_freqs
-                .as_ref()
-                .map(|nf| match state.as_deref_mut() {
-                    Some(st) => noise_analysis_cfg(
-                        &case.ckt,
-                        &op,
-                        case.out,
-                        nf,
-                        case.temp_k,
-                        self.dc_opts.solver,
-                        st.ac_workspace(),
-                    ),
-                    None => noise_analysis_cfg(
-                        &case.ckt,
-                        &op,
-                        case.out,
-                        nf,
-                        case.temp_k,
-                        self.dc_opts.solver,
-                        &mut AcWorkspace::default(),
-                    ),
-                });
+            let (resp, noise) = self.serial_sweep(&solver, &case, &op, &mut state)?;
             rows.push(measure(
                 slot,
                 &case,
@@ -535,71 +474,40 @@ impl CornerEvaluator {
         Ok(rows)
     }
 
-    /// One corner's scalar AC sweep and optional noise analysis — exactly
-    /// the interleaved serial loop's kernels, factored out so the phased
-    /// (settle-enabled) serial path produces bitwise-identical responses.
+    /// One corner's scalar AC sweep and optional noise analysis, both
+    /// through the session's [`AcWorkspace`] when warm and one fresh
+    /// workspace when cold —
+    /// shared by the interleaved and phased (settle-enabled) serial paths
+    /// so both produce bitwise-identical responses.
     #[allow(clippy::type_complexity)]
     fn serial_sweep(
         &self,
+        solver: &AcSolver<'_>,
         case: &CornerCase,
         op: &OpPoint,
         state: &mut Option<&mut WarmState>,
     ) -> Result<(AcResponse, Option<Result<NoiseResult, SimError>>), SimError> {
-        let solver = AcSolver::new(&case.ckt, op).with_config(self.dc_opts.solver);
-        let resp = match state.as_deref_mut() {
-            Some(st) => {
-                let h = solver.solve_sources_batch_ws(&self.freqs, case.out, st.ac_workspace())?;
-                AcResponse {
-                    freqs: self.freqs.clone(),
-                    h,
-                }
-            }
-            None if self.dc_opts.solver.use_sparse(solver.dim()) => {
-                let h = solver.solve_sources_batch_ws(
-                    &self.freqs,
-                    case.out,
-                    &mut AcWorkspace::default(),
-                )?;
-                AcResponse {
-                    freqs: self.freqs.clone(),
-                    h,
-                }
-            }
-            None => {
-                let mut h = Vec::with_capacity(self.freqs.len());
-                for &f in &self.freqs {
-                    let x = solver.solve_sources(f)?;
-                    h.push(solver.voltage(&x, case.out));
-                }
-                AcResponse {
-                    freqs: self.freqs.clone(),
-                    h,
-                }
-            }
+        let mut fresh = AcWorkspace::default();
+        let ws = match state.as_deref_mut() {
+            Some(st) => st.ac_workspace(),
+            None => &mut fresh,
         };
-        let noise = self
-            .noise_freqs
-            .as_ref()
-            .map(|nf| match state.as_deref_mut() {
-                Some(st) => noise_analysis_cfg(
-                    &case.ckt,
-                    op,
-                    case.out,
-                    nf,
-                    case.temp_k,
-                    self.dc_opts.solver,
-                    st.ac_workspace(),
-                ),
-                None => noise_analysis_cfg(
-                    &case.ckt,
-                    op,
-                    case.out,
-                    nf,
-                    case.temp_k,
-                    self.dc_opts.solver,
-                    &mut AcWorkspace::default(),
-                ),
-            });
+        let h = solver.solve_sources_batch_ws(&self.freqs, case.out, ws)?;
+        let resp = AcResponse {
+            freqs: self.freqs.clone(),
+            h,
+        };
+        let noise = self.noise_freqs.as_ref().map(|nf| {
+            noise_analysis_cfg(
+                &case.ckt,
+                op,
+                case.out,
+                nf,
+                case.temp_k,
+                self.dc_opts.solver,
+                ws,
+            )
+        });
         Ok((resp, noise))
     }
 
@@ -636,7 +544,8 @@ impl CornerEvaluator {
                 Some(st) => st.solve(slot, &case.ckt, &self.dc_opts)?,
                 None => autockt_sim::dc::dc_operating_point(&case.ckt, &self.dc_opts)?,
             };
-            let (resp, noise) = self.serial_sweep(&case, &op, &mut state)?;
+            let solver = AcSolver::new(&case.ckt, &op).with_config(self.dc_opts.solver);
+            let (resp, noise) = self.serial_sweep(&solver, &case, &op, &mut state)?;
             cases.push(case);
             ops.push(op);
             resps.push(resp);
@@ -731,9 +640,9 @@ impl CornerEvaluator {
         for r in resp_results {
             resps.push(r?);
         }
-        // Noise rides the same dispatch: lockstep (bitwise) when cold,
-        // corner-corrected (Woodbury, shared per-source base solves)
-        // when warm. Per-corner failures stay in the row — the measure
+        // Noise rides the same dispatch: per-corner scalar arithmetic
+        // (bitwise) when cold, corner-corrected (Woodbury, shared
+        // per-source base solves) when warm. Per-corner failures stay in the row — the measure
         // closure decides whether a noise failure is fatal.
         let noise_results: Option<Vec<Result<NoiseResult, SimError>>> =
             self.noise_freqs.as_ref().map(|nf| {
@@ -753,10 +662,10 @@ impl CornerEvaluator {
                     }
                 }
             });
-        // Settling rides the dispatch too: cold shares the sparse
-        // symbolic analysis across the set (bitwise-identical to the
-        // phased serial reference), warm runs the corner-batched kernel
-        // (dense propagator / sparse Woodbury by regime).
+        // Settling rides the dispatch too: cold runs the scalar kernel
+        // per corner (bitwise-identical to the phased serial reference),
+        // warm runs the corner-batched kernel (dense propagator / sparse
+        // Woodbury by regime).
         let settles = self.settle_stage(
             &solvers,
             &outs,
@@ -764,7 +673,7 @@ impl CornerEvaluator {
             if state.is_some() {
                 SettleDispatch::Corrected
             } else {
-                SettleDispatch::Shared
+                SettleDispatch::Scalar
             },
         );
         let mut rows = Vec::with_capacity(cases.len());
@@ -1823,9 +1732,40 @@ mod tests {
         )
     }
 
+    /// An empty corner plan is an options error under both strategies,
+    /// cold and warm, reported before any corner is built — not a panic
+    /// in the worst-case fold.
+    #[test]
+    fn empty_corner_plan_is_invalid_options() {
+        for strategy in [CornerStrategy::Serial, CornerStrategy::Batched] {
+            let engine = CornerEvaluator::new(
+                CornerPlan::from_corners(vec![]),
+                autockt_sim::dc::DcOptions::default(),
+                autockt_sim::ac::log_freqs(1e3, 1e8, 4),
+                strategy,
+            );
+            let specs = rc_engine(strategy).1;
+            let mut warm = WarmState::new();
+            for state in [None, Some(&mut warm)] {
+                let r = engine.evaluate(
+                    &specs,
+                    |_slot, _pvt| -> CornerCase { panic!("no corner may be built") },
+                    |_slot, _case, _op, _solver, _resp, _ws, _noise, _settle| Ok(vec![0.0, 0.0]),
+                    state,
+                );
+                assert_eq!(
+                    r,
+                    Err(SimError::InvalidOptions {
+                        what: "empty corner plan"
+                    })
+                );
+            }
+        }
+    }
+
     /// Engine-level noise wiring: with `with_noise`, both strategies hand
-    /// the measure closure a per-corner noise result, and the batched
-    /// (lockstep) results are bitwise-identical to the serial reference.
+    /// the measure closure a per-corner noise result, and the cold batched
+    /// results are bitwise-identical to the serial reference.
     #[test]
     fn corner_engine_noise_batched_matches_serial_bitwise() {
         let nfreqs = autockt_sim::ac::log_freqs(1e3, 1e8, 4);
@@ -1862,9 +1802,8 @@ mod tests {
 
     /// Engine-level settle wiring: with `with_settling`, both strategies
     /// hand the measure closure a per-corner `(t, y)` settling record
-    /// over one shared time window, and the cold batched records
-    /// (symbolic-sharing path) are bitwise-identical to the phased
-    /// serial reference.
+    /// over one shared time window, and the cold batched records are
+    /// bitwise-identical to the phased serial reference.
     #[test]
     fn corner_engine_settle_batched_matches_serial_bitwise() {
         let run = |strategy: CornerStrategy, warm: Option<&mut WarmState>| {

@@ -311,11 +311,11 @@ impl Tia {
             SimMode::PexWorstCase => {
                 // Noise and settling run inside the engine (`with_noise`
                 // / `with_settling`) so the batched strategy can factor
-                // them with the corner set: lockstep / symbolic-sharing
-                // (bitwise) cold, corner-batched (propagator/Woodbury
-                // by regime) warm —
-                // the TIA's worst-case step is noise- and settle-bound,
-                // so this is where its dense-dim speedup comes from.
+                // them with the corner set: per-corner scalar (bitwise)
+                // cold, corner-batched (Woodbury noise, propagator/Woodbury
+                // settling by regime) warm — the TIA's worst-case step is
+                // noise- and settle-bound, so this is where its dense-dim
+                // speedup comes from.
                 // Settling integrates one shared window scaled to the
                 // slowest corner's cutoff (window 8.0, as the per-corner
                 // measurement used), 2048 trapezoidal steps.

@@ -13,8 +13,7 @@ use crate::error::SimError;
 use crate::linalg::correction::{
     corrected_entry, factor_correction, solve_correction_basis, CornerDiff,
 };
-use crate::linalg::sparse::{CscMatrix, SolverConfig, TripletList};
-use crate::linalg::structure::SparseSolver;
+use crate::linalg::sparse::{CscMatrix, SolverConfig, SparseLu, TripletList};
 use crate::linalg::{ComplexLuBatch, ComplexLuSoa, LinearSolver, LuFactors, Matrix};
 use crate::netlist::{Circuit, Element, Node};
 use crate::par::{run_chunks, would_parallelize, Parallelism, WorkspacePool};
@@ -34,9 +33,8 @@ use crate::par::{run_chunks, would_parallelize, Parallelism, WorkspacePool};
 pub(crate) enum ComplexLu {
     /// Dense split re/im kernel (bitwise-equal to `LuFactors<Complex>`).
     Dense(ComplexLuSoa),
-    /// Sparse factorization (plain or BTF per the solver's
-    /// [`SolverConfig`]) over the CSC image of the stamp pattern.
-    Sparse(SparseSolver<Complex>),
+    /// Sparse factorization over the CSC image of the stamp pattern.
+    Sparse(SparseLu<Complex>),
 }
 
 impl Default for ComplexLu {
@@ -100,9 +98,10 @@ impl AcWorkspace {
 /// [`ac_sweep_corners`]) and the corner-batched noise analyses
 /// ([`crate::noise::noise_analysis_batch`] /
 /// [`crate::noise::noise_analysis_corners`]): the lockstep complex batch
-/// LU, one sparse stamp pattern per corner, batch-layout
-/// right-hand-side/solution buffers, and the base-factor/correction
-/// scratch of the corner-correction paths.
+/// LU of the cold AC sweep, one sparse stamp pattern per corner,
+/// batch-layout right-hand-side/solution buffers, the base-factor/correction
+/// scratch of the corner-correction paths, and the scalar workspace the
+/// per-corner routes sweep through.
 #[derive(Debug, Clone, Default)]
 pub struct AcBatchWorkspace {
     pub(crate) lu: ComplexLuBatch,
@@ -345,12 +344,8 @@ impl<'a> AcSolver<'a> {
             ws.trip.compress_into(&mut ws.csc);
             ws.gc.clear();
             ws.gc.extend_from_slice(ws.csc.values());
-            match &mut ws.lu {
-                ComplexLu::Sparse(slu) => slu.ensure_mode(self.cfg.btf),
-                lu => *lu = ComplexLu::Sparse(SparseSolver::empty(self.cfg.btf)),
-            }
-            if let ComplexLu::Sparse(slu) = &mut ws.lu {
-                slu.set_parallelism(self.cfg.par);
+            if !matches!(ws.lu, ComplexLu::Sparse(_)) {
+                ws.lu = ComplexLu::Sparse(SparseLu::empty());
             }
         } else if !matches!(ws.lu, ComplexLu::Dense(_)) {
             ws.lu = ComplexLu::Dense(ComplexLuSoa::empty());
@@ -502,17 +497,13 @@ impl<'a> AcSolver<'a> {
     }
 
     /// Per-lane prologue of every threaded sweep: prepare a pooled
-    /// workspace for this solver, keep block-level parallelism out of the
-    /// lane (the sweep already owns the lanes), and replicate the sweep's
-    /// dense-by-fill route decision by probing the first frequency — so a
-    /// lane whose chunk starts mid-sweep factors through the same kernel
-    /// the serial walk would use there. A singular probe is ignored: the
-    /// lane owning that tile reports it in order.
+    /// workspace for this solver and replicate the sweep's dense-by-fill
+    /// route decision by probing the first frequency — so a lane whose
+    /// chunk starts mid-sweep factors through the same kernel the serial
+    /// walk would use there. A singular probe is ignored: the lane owning
+    /// that tile reports it in order.
     pub(crate) fn prepare_lane(&self, first_freq: f64, ws: &mut AcWorkspace) {
         self.prepare_workspace(ws);
-        if let ComplexLu::Sparse(slu) = &mut ws.lu {
-            slu.set_parallelism(Parallelism::Off);
-        }
         let _ = self.factor_at_ws(first_freq, ws);
     }
 
@@ -606,24 +597,6 @@ impl<'a> AcSolver<'a> {
         t_stop: f64,
         steps: usize,
     ) -> Result<(Vec<f64>, Vec<f64>), SimError> {
-        self.step_response_via(out, t_stop, steps, &mut SparseSolver::empty(self.cfg.btf))
-    }
-
-    /// [`AcSolver::step_response`] against a caller-held sparse solver:
-    /// the corner-batched settling path passes one solver across a whole
-    /// corner set, so the symbolic analysis + AMD ordering are computed
-    /// once (corners share their stamp pattern) and every sibling runs a
-    /// values-only refactor. Same-pattern refactors are bitwise-equal to
-    /// fresh factorizations (property-tested), and the scalar
-    /// [`AcSolver::step_response`] is literally this function with a
-    /// fresh solver — so sharing cannot perturb results.
-    pub(crate) fn step_response_via(
-        &self,
-        out: Node,
-        t_stop: f64,
-        steps: usize,
-        shared: &mut SparseSolver<f64>,
-    ) -> Result<(Vec<f64>, Vec<f64>), SimError> {
         let h = t_stop / steps as f64;
         let n = self.dim;
         // A = G + 2C/h (factored once); per step:
@@ -645,6 +618,7 @@ impl<'a> AcSolver<'a> {
         // the dense kernel if the measured factor fill crosses the
         // config's limit — the 2048 back-substitutions are cheaper dense
         // then, at the cost of one throwaway sparse factorization.
+        let mut slu = SparseLu::empty();
         let mut use_sparse = false;
         if self.cfg.use_sparse(n) {
             let mut trip = TripletList::new(n);
@@ -659,14 +633,12 @@ impl<'a> AcSolver<'a> {
             }
             let mut csc = CscMatrix::empty();
             trip.compress_into(&mut csc);
-            shared.ensure_mode(self.cfg.btf);
-            shared.set_parallelism(self.cfg.par);
-            shared.refactor(&csc, 1e-300)?;
-            use_sparse = !self.cfg.dense_by_fill(n, shared.factor_nnz());
+            slu.refactor(&csc, 1e-300)?;
+            use_sparse = !self.cfg.dense_by_fill(n, slu.factor_nnz());
         }
         let dense_lu;
         let lu: &dyn LinearSolver<f64> = if use_sparse {
-            &*shared
+            &slu
         } else {
             let mut a = Matrix::<f64>::zeros(n, n);
             for r in 0..n {
@@ -1069,7 +1041,7 @@ fn sparse_scalar_sweeps(
 ) -> Vec<Result<AcResponse, SimError>> {
     // Corner sets share their stamp *pattern* (same netlist structure),
     // and every corner here sweeps through the one `ws.scalar` sparse
-    // solver — so `SparseSolver::refactor`'s same-pattern check reuses the
+    // solver — so `SparseLu::refactor`'s same-pattern check reuses the
     // symbolic analysis + AMD ordering across the whole corner set, and
     // only corner 0 pays the full analysis. Same-pattern refactors are
     // bitwise-equal to fresh factorizations (property-tested), which is

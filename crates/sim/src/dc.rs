@@ -6,8 +6,7 @@
 
 use crate::device::{MosPolarity, MosRegion};
 use crate::error::SimError;
-use crate::linalg::sparse::{CscMatrix, SolverConfig, StampSink, TripletList};
-use crate::linalg::structure::SparseSolver;
+use crate::linalg::sparse::{CscMatrix, SolverConfig, SparseLu, StampSink, TripletList};
 use crate::linalg::{LuFactors, Matrix, RealLuBatch};
 use crate::netlist::{Circuit, Element, Mosfet, Node};
 
@@ -24,13 +23,12 @@ pub struct DcWorkspace {
     dx: Vec<f64>,
     lu: LuFactors<f64>,
     /// Sparse-backend buffers: triplet assembly, compressed matrix, and
-    /// the sparse factorization (plain or BTF per the solve's
-    /// [`SolverConfig`]) whose symbolic analysis — ordering, structural
-    /// preflight, block decomposition — persists across Newton
-    /// iterations (the stamp pattern is constant per circuit).
+    /// the sparse factorization whose symbolic analysis — structural
+    /// preflight and ordering — persists across Newton iterations (the
+    /// stamp pattern is constant per circuit).
     trip: TripletList<f64>,
     csc: CscMatrix<f64>,
-    slu: SparseSolver<f64>,
+    slu: SparseLu<f64>,
 }
 
 impl DcWorkspace {
@@ -44,7 +42,7 @@ impl DcWorkspace {
             lu: LuFactors::empty(),
             trip: TripletList::new(0),
             csc: CscMatrix::empty(),
-            slu: SparseSolver::default(),
+            slu: SparseLu::empty(),
         }
     }
 }
@@ -514,10 +512,7 @@ fn newton_solve(
     let dim = asm.dim;
     let nv = asm.nnodes - 1;
     let sparse = opts.solver.use_sparse(dim);
-    if sparse {
-        ws.slu.ensure_mode(opts.solver.btf);
-        ws.slu.set_parallelism(opts.solver.par);
-    } else if ws.j.rows() != dim || ws.j.cols() != dim {
+    if !sparse && (ws.j.rows() != dim || ws.j.cols() != dim) {
         ws.j = Matrix::zeros(dim, dim);
     }
     ws.f.resize(dim, 0.0);

@@ -65,7 +65,6 @@ pub mod tran;
 
 pub use error::SimError;
 pub use linalg::sparse::{SolverBackend, SolverConfig};
-pub use linalg::structure::{BtfDecomposition, BtfLu, SparseSolver};
 pub use par::Parallelism;
 
 /// Commonly used items, re-exported for convenience.

@@ -62,14 +62,6 @@ pub struct SolverConfig {
     pub backend: SolverBackend,
     /// Dimension at which [`SolverBackend::Auto`] switches to sparse.
     pub crossover: usize,
-    /// Whether sparse factorizations use the block-triangular-form (BTF)
-    /// decomposition of [`super::structure`]: permute to block upper
-    /// triangular via Dulmage–Mendelsohn, factor only the diagonal
-    /// blocks, and solve by block back-substitution. On by default for
-    /// the sparse backend; irrelevant to the dense kernels. Irreducible
-    /// systems (a single block) degenerate to the plain sparse path up
-    /// to the one-time decomposition cost per pattern.
-    pub btf: bool,
     /// Fill-ratio escape hatch for [`SolverBackend::Auto`]: once a system
     /// has been factored sparsely, workspaces compare the measured factor
     /// nnz against `fill_limit_pct` percent of the dense `n²` and drop
@@ -78,8 +70,8 @@ pub struct SolverConfig {
     /// by fill rather than dim alone"). `0` disables the check. Stored as
     /// an integer percentage so the config stays `Eq`/hashable.
     pub fill_limit_pct: u8,
-    /// How sweeps and block factorizations under this config may use the
-    /// scoped-thread tile scheduler in [`crate::par`]: serial
+    /// How frequency sweeps and corner grids under this config may use
+    /// the scoped-thread tile scheduler in [`crate::par`]: serial
     /// ([`Parallelism::Off`]), budget-governed ([`Parallelism::Auto`],
     /// the default — degrades to serial on a spent budget or where
     /// threading measures as a loss), or an explicit lane count
@@ -99,7 +91,6 @@ impl Default for SolverConfig {
         SolverConfig {
             backend: SolverBackend::Auto,
             crossover: DEFAULT_CROSSOVER,
-            btf: true,
             fill_limit_pct: DEFAULT_FILL_LIMIT_PCT,
             par: Parallelism::Auto,
         }
@@ -112,7 +103,6 @@ impl SolverConfig {
         SolverConfig {
             backend: SolverBackend::Dense,
             crossover: DEFAULT_CROSSOVER,
-            btf: true,
             fill_limit_pct: DEFAULT_FILL_LIMIT_PCT,
             par: Parallelism::Auto,
         }
@@ -123,16 +113,9 @@ impl SolverConfig {
         SolverConfig {
             backend: SolverBackend::Sparse,
             crossover: DEFAULT_CROSSOVER,
-            btf: true,
             fill_limit_pct: DEFAULT_FILL_LIMIT_PCT,
             par: Parallelism::Auto,
         }
-    }
-
-    /// The same config with the BTF mode switched as given.
-    pub const fn with_btf(mut self, btf: bool) -> Self {
-        self.btf = btf;
-        self
     }
 
     /// The same config with the tile-scheduler policy switched as given
@@ -613,34 +596,13 @@ impl<T: Scalar> SparseLu<T> {
     /// the stored factorization is garbage and must be refactored before
     /// the next solve.
     pub fn refactor(&mut self, a: &CscMatrix<T>, pivot_floor: f64) -> Result<(), SimError> {
-        self.refactor_inner(a, pivot_floor, true)
-    }
-
-    /// [`SparseLu::refactor`] with the structural preflight skipped —
-    /// for callers that already know the pattern has full structural
-    /// rank (the BTF diagonal blocks are strongly connected components
-    /// of a matched graph, hence structurally nonsingular by
-    /// construction).
-    pub(crate) fn refactor_unchecked(
-        &mut self,
-        a: &CscMatrix<T>,
-        pivot_floor: f64,
-    ) -> Result<(), SimError> {
-        self.refactor_inner(a, pivot_floor, false)
-    }
-
-    fn refactor_inner(
-        &mut self,
-        a: &CscMatrix<T>,
-        pivot_floor: f64,
-        preflight: bool,
-    ) -> Result<(), SimError> {
         let same_pattern =
             self.n == a.n && self.a_colptr == a.col_ptr && self.a_rowidx == a.row_idx;
         if !same_pattern {
-            if preflight {
-                super::structure::structural_check(a.n, &a.col_ptr, &a.row_idx)?;
-            }
+            // The pattern cache below is only updated once the preflight
+            // passes, so a structurally singular pattern is re-diagnosed on
+            // every attempt instead of slipping through the fast path.
+            super::structure::structural_check(a.n, &a.col_ptr, &a.row_idx)?;
             self.q = amd_order(a.n, &a.col_ptr, &a.row_idx);
             self.a_colptr.clone_from(&a.col_ptr);
             self.a_rowidx.clone_from(&a.row_idx);
@@ -1041,6 +1003,25 @@ mod tests {
         let fresh = SparseLu::factor(&a2, 1e-300).unwrap();
         let b = [1.0, 2.0, 3.0];
         assert_eq!(lu.solve(&b), fresh.solve(&b), "refactor must be bitwise");
+    }
+
+    #[test]
+    fn structurally_singular_is_rediagnosed() {
+        // An empty column fails the preflight on *every* refactor attempt
+        // (the pattern cache must not absorb a failing pattern), including
+        // after a successful factorization of another pattern.
+        let mut t = TripletList::new(2);
+        t.push(0, 0, 1.0);
+        t.push(1, 0, 1.0);
+        let mut a = CscMatrix::empty();
+        t.compress_into(&mut a);
+        let mut lu = SparseLu::factor(&csc_of(&[vec![2.0, 0.0], vec![0.0, 3.0]]), 1e-300).unwrap();
+        for _ in 0..2 {
+            match lu.refactor(&a, 1e-300) {
+                Err(SimError::StructurallySingular { column, .. }) => assert_eq!(column, 1),
+                other => panic!("expected StructurallySingular, got {other:?}"),
+            }
+        }
     }
 
     #[test]

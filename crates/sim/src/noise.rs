@@ -10,10 +10,11 @@
 //! Worst-case PVT evaluations run the analysis over a *corner set* of
 //! same-structure circuits. Two batched entry points serve that shape:
 //!
-//! - [`noise_analysis_batch`] eliminates all corner systems in lockstep
-//!   through [`crate::linalg::ComplexLuBatch`]; per corner its arithmetic
-//!   is bitwise-identical to [`noise_analysis_ws`], making it the cold
-//!   (exact) backbone of the corner engine.
+//! - [`noise_analysis_batch`] runs every corner through the scalar
+//!   [`noise_analysis_ws`] arithmetic — threaded over the
+//!   (corner × frequency) grid when the scheduler grants lanes, serial
+//!   otherwise — so per corner it is bitwise-identical to the scalar
+//!   path, making it the cold (exact) backbone of the corner engine.
 //! - [`noise_analysis_corners`] factors the **base corner once per
 //!   frequency** and recovers every sibling through the same Woodbury
 //!   correction as [`crate::ac::ac_sweep_corners`] — and, because the
@@ -386,9 +387,9 @@ fn noise_points_par(
 /// Per-corner scalar reference path of the batched analyses: each corner
 /// runs the exact [`noise_analysis_ws`] pipeline (same kernel, same
 /// order) through the batch workspace's scalar buffers. This is the
-/// fallback for structural mismatches, single-corner batches, and stock
-/// dims where neither lockstep nor correction pays — bitwise-equal to
-/// calling [`noise_analysis_ws`] per corner.
+/// serial cold route and the corrected path's fallback for structural
+/// mismatches and stock dims — bitwise-equal to calling
+/// [`noise_analysis_ws`] per corner.
 fn scalar_noise_ws(
     solvers: &[AcSolver<'_>],
     ops: &[&OpPoint],
@@ -421,8 +422,8 @@ fn scalar_noise_ws(
 }
 
 /// Collects each corner's noise sources, or `None` when any corner fails
-/// or the corner lists disagree in length (the lockstep and corrected
-/// paths need one source index space across the batch) — callers then
+/// or the corner lists disagree in length (the corrected path needs one
+/// source index space across the batch) — callers then
 /// route through the scalar path, which reports per-corner failures
 /// individually.
 fn collect_corner_sources(
@@ -441,24 +442,20 @@ fn collect_corner_sources(
     Some(all)
 }
 
-/// Corner-batched noise analysis in **lockstep**: at every frequency the
-/// B corner systems are stamped into one
-/// [`crate::linalg::ComplexLuBatch`] and eliminated together, then
-/// back-substituted against each corner's source vector and against every
-/// noise source's unit injection. Per corner the arithmetic (pivot
-/// selection, update order, PSD accumulation order) is identical to
-/// [`noise_analysis_ws`], so per-corner results are **bitwise-equal** to
-/// the serial path — this is the cold backbone of the corner evaluation
-/// engine, mirroring [`crate::ac::ac_sweep_batch_solvers`]'s contract.
+/// Cold corner-batched noise analysis: every corner runs the exact
+/// [`noise_analysis_ws`] arithmetic, so per-corner results are
+/// **bitwise-equal** to the serial path — the cold (exact) backbone of
+/// the corner evaluation engine.
 ///
-/// Failures are per corner: a corner whose system goes singular reports
-/// the error of its first failing frequency, exactly like the scalar
-/// path, and is masked off without disturbing its siblings. Mismatched
-/// dimensions, differing source counts, single-corner batches, and dense
-/// systems (where the batch-innermost layout stops paying) run the
-/// scalar path per corner — also bitwise-equal, so the dispatch is pure
-/// performance policy. A degenerate frequency grid returns
-/// [`SimError::InvalidOptions`] for every corner.
+/// When the scheduler grants lanes (see [`crate::par`]) the
+/// (corner × frequency) grid is threaded, one scalar point per tile;
+/// otherwise the corners run one after another through the workspace's
+/// scalar buffers. Both routes are bitwise-equal to the serial
+/// reference, so the dispatch is pure performance policy. Failures are
+/// per corner: a corner reports the error of its first failing frequency
+/// (or of its noise-source collection) without disturbing its siblings.
+/// A degenerate frequency grid returns [`SimError::InvalidOptions`] for
+/// every corner.
 ///
 /// # Panics
 ///
@@ -483,158 +480,9 @@ pub fn noise_analysis_batch(
     }
     let par = grid_parallelism(solvers);
     if would_parallelize(par, bt * freqs.len()) {
-        // Threaded cold grid: per-corner scalar points across the
-        // (corner × frequency) tiles. Per corner that is exactly the
-        // scalar reference arithmetic, which both cold routes below are
-        // bitwise-equal to — so the dispatch stays pure performance
-        // policy.
         return threaded_grid_noise(solvers, ops, outs, freqs, temps, par);
     }
-    let dim = solvers[0].dim();
-    if bt == 1
-        || solvers.iter().any(|s| s.dim() != dim)
-        || dim > STOCK_DIM_MAX
-        || solvers.iter().any(|s| s.config().use_sparse(s.dim()))
-    {
-        // Lockstep pays while each corner's factors fit in cache (stock
-        // dims, ~1.1x); at dense dims the batch-innermost layout thrashes
-        // (measured ~0.65x), so the cold path runs the scalar kernel per
-        // corner there. Both are bitwise-equal to the serial reference,
-        // so the dispatch is pure performance policy. Sparse-routed dims
-        // take the same scalar route: the lockstep kernel is dense-only,
-        // and the scalar path dispatches each corner's factorizations
-        // through its own backend.
-        return scalar_noise_ws(solvers, ops, outs, freqs, temps, ws);
-    }
-    let Some(sources) = collect_corner_sources(solvers, ops, temps) else {
-        return scalar_noise_ws(solvers, ops, outs, freqs, temps, ws);
-    };
-    let n_src = sources[0].len();
-
-    ws.patterns.resize(bt, Vec::new());
-    for (pat, s) in ws.patterns.iter_mut().zip(solvers) {
-        s.collect_pattern(pat);
-    }
-    // Gain right-hand sides, stamped once (frequency-independent).
-    ws.rhs_re.clear();
-    ws.rhs_re.resize(dim * bt, 0.0);
-    ws.rhs_im.clear();
-    ws.rhs_im.resize(dim * bt, 0.0);
-    for (b, s) in solvers.iter().enumerate() {
-        for (i, v) in s.source_rhs().iter().enumerate() {
-            ws.rhs_re[i * bt + b] = v.re;
-            ws.rhs_im[i * bt + b] = v.im;
-        }
-    }
-    let oi: Vec<Option<usize>> = solvers
-        .iter()
-        .zip(outs)
-        .map(|(s, &o)| s.mna_index(o))
-        .collect();
-    // Per-source unit-injection right-hand sides, stamped once — they
-    // depend only on the source's terminal nodes, never the frequency
-    // (each corner resolves through its own circuit; structure is shared
-    // across a corner set). The imaginary part is identically zero.
-    let mut inj_re: Vec<Vec<f64>> = vec![vec![0.0; dim * bt]; n_src];
-    for (b, (s, srcs)) in solvers.iter().zip(&sources).enumerate() {
-        for (src, inj) in srcs.iter().zip(inj_re.iter_mut()) {
-            if let Some(ip) = s.circuit().mna_index(src.p) {
-                inj[ip * bt + b] -= 1.0;
-            }
-            if let Some(in_) = s.circuit().mna_index(src.n) {
-                inj[in_ * bt + b] += 1.0;
-            }
-        }
-    }
-    let inj_im = vec![0.0; dim * bt];
-
-    let mut out_psd: Vec<Vec<f64>> = vec![Vec::with_capacity(freqs.len()); bt];
-    let mut gain: Vec<Vec<f64>> = vec![Vec::with_capacity(freqs.len()); bt];
-    let mut errs: Vec<Option<SimError>> = vec![None; bt];
-    let mut psd = vec![0.0; bt];
-    for &fq in freqs {
-        let w = 2.0 * std::f64::consts::PI * fq;
-        let AcBatchWorkspace {
-            lu,
-            patterns,
-            rhs_re,
-            rhs_im,
-            x_re,
-            x_im,
-            acc_re,
-            acc_im,
-            ..
-        } = ws;
-        lu.refactor_with(dim, bt, 1e-300, |re, im| {
-            for (b, pat) in patterns.iter().enumerate() {
-                if errs[b].is_some() {
-                    // Dead corner: identity keeps the lockstep
-                    // elimination trivially nonsingular.
-                    for i in 0..dim {
-                        re[(i * dim + i) * bt + b] = 1.0;
-                    }
-                    continue;
-                }
-                for &(r, c, gg, cc) in pat {
-                    re[(r * dim + c) * bt + b] = gg;
-                    im[(r * dim + c) * bt + b] = w * cc;
-                }
-            }
-        });
-        for (b, e) in errs.iter_mut().enumerate() {
-            if e.is_none() {
-                if let Some(column) = lu.singular(b) {
-                    *e = Some(SimError::SingularMatrix { column });
-                }
-            }
-        }
-        // Signal gains, all corners at once.
-        lu.solve_batch_into(rhs_re, rhs_im, x_re, x_im, acc_re, acc_im);
-        for (b, gb) in gain.iter_mut().enumerate() {
-            if errs[b].is_none() {
-                gb.push(match oi[b] {
-                    None => 0.0,
-                    Some(i) => Complex::new(x_re[i * bt + b], x_im[i * bt + b]).norm(),
-                });
-            }
-        }
-        // Per noise source: one lockstep solve of the unit injections.
-        // Dead corners' lanes solve against the precomputed stamps too,
-        // but lanes are independent and dead lanes are never read.
-        psd.fill(0.0);
-        for s in 0..n_src {
-            let AcBatchWorkspace {
-                lu,
-                x_re,
-                x_im,
-                acc_re,
-                acc_im,
-                ..
-            } = ws;
-            lu.solve_batch_into(&inj_re[s], &inj_im, x_re, x_im, acc_re, acc_im);
-            for (b, p) in psd.iter_mut().enumerate() {
-                if errs[b].is_none() {
-                    let h2 = match oi[b] {
-                        None => 0.0,
-                        Some(i) => Complex::new(x_re[i * bt + b], x_im[i * bt + b]).norm_sqr(),
-                    };
-                    *p += h2 * sources[b][s].psd_at(fq);
-                }
-            }
-        }
-        for (b, ob) in out_psd.iter_mut().enumerate() {
-            if errs[b].is_none() {
-                ob.push(psd[b]);
-            }
-        }
-    }
-    errs.iter_mut()
-        .zip(out_psd.into_iter().zip(gain))
-        .map(|(e, (ob, gb))| match e.take() {
-            Some(e) => Err(e),
-            None => finalize(freqs, ob, gb),
-        })
-        .collect()
+    scalar_noise_ws(solvers, ops, outs, freqs, temps, ws)
 }
 
 /// Threaded cold corner analysis: the (corner × frequency) grid is

@@ -2,9 +2,9 @@
 //! process-wide thread budget.
 //!
 //! Every parallel walk in the evaluation stack — AC frequency points,
-//! noise points, (corner × frequency) grids, BTF diagonal blocks — runs
-//! through this one substrate: the work is split into contiguous chunks
-//! of *tiles*, each tile owns a preallocated result slot, and each lane
+//! noise points, (corner × frequency) grids — runs through this one
+//! substrate: the work is split into contiguous chunks of *tiles*, each
+//! tile owns a preallocated result slot, and each lane
 //! (thread) factors and solves through its own workspace checked out of a
 //! [`WorkspacePool`]. Because every kernel underneath is history-free
 //! (same-pattern refactors re-run pivot selection and are bitwise-equal
@@ -302,25 +302,6 @@ pub fn run_chunks<T, W, M, F>(
             pool.restore(ws);
         }
     });
-}
-
-/// [`run_chunks`] for walks whose lanes need no workspace (the BTF block
-/// refactor: each tile carries its own factorization buffers).
-pub fn run_chunks_unit<T, F>(par: Parallelism, slots: &mut [T], chunk_fn: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    static UNIT_POOL: WorkspacePool<()> = WorkspacePool::new();
-    run_chunks(
-        par,
-        slots,
-        &UNIT_POOL,
-        || (),
-        |off, chunk, ()| {
-            chunk_fn(off, chunk);
-        },
-    );
 }
 
 #[cfg(test)]

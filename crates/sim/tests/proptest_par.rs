@@ -1,8 +1,8 @@
 //! Property-based tests for the tile scheduler (`autockt_sim::par`):
 //! every threaded walk — the scalar AC sweep, the scalar noise
-//! analysis, and the per-block BTF factorization — must be *bitwise*
-//! equal to its serial reference under any forced lane count, and the
-//! process-wide workspace pools must preserve that equality when they
+//! analysis, and the cold corner-batched noise analysis — must be
+//! *bitwise* equal to its serial reference under any forced lane count,
+//! and the process-wide workspace pools must preserve that equality when they
 //! are re-used across calls of differing dimension.
 //!
 //! `Parallelism::Threads(n)` is the forced mode: it bypasses the
@@ -10,12 +10,10 @@
 //! multi-lane schedules even on dimensions the Auto policy would run
 //! serially.
 
-use autockt_sim::ac::{ac_sweep_cfg, AcWorkspace};
-use autockt_sim::dc::{dc_operating_point, DcOptions};
-use autockt_sim::linalg::sparse::{CscMatrix, TripletList};
-use autockt_sim::linalg::structure::BtfLu;
+use autockt_sim::ac::{ac_sweep_cfg, AcBatchWorkspace, AcSolver, AcWorkspace};
+use autockt_sim::dc::{dc_operating_point, DcOptions, OpPoint};
 use autockt_sim::netlist::{Circuit, Node, GND};
-use autockt_sim::noise::noise_analysis_cfg;
+use autockt_sim::noise::{noise_analysis_batch, noise_analysis_cfg};
 use autockt_sim::{Parallelism, SolverConfig};
 use proptest::prelude::*;
 
@@ -46,62 +44,6 @@ fn noisy_ladder(n: usize, r_scale: f64) -> (Circuit, Node) {
 /// A strictly increasing frequency grid spanning several decades.
 fn freq_grid(npts: usize) -> Vec<f64> {
     (0..npts).map(|k| 1e3 * 2f64.powi(k as i32)).collect()
-}
-
-/// A block-diagonal, diagonally dominant matrix with `dims`-sized
-/// irreducible (banded, pattern-symmetric) diagonal blocks, plus one
-/// acyclic coupling entry between consecutive blocks so the matrix is
-/// not merely block-diagonal. The BTF decomposition recovers exactly
-/// these blocks as its strongly connected components.
-fn block_diag_dominant(dims: &[usize], entries: &[f64]) -> CscMatrix<f64> {
-    let n: usize = dims.iter().sum();
-    let mut dense = vec![vec![0.0f64; n]; n];
-    let mut e = 0usize;
-    let val = |e: &mut usize| {
-        let v = entries[*e % entries.len()].clamp(-10.0, 10.0);
-        *e += 1;
-        v
-    };
-    let mut start = 0usize;
-    let mut prev_start: Option<usize> = None;
-    for &d in dims {
-        for r in 0..d {
-            for c in (r + 1)..d.min(r + 3) {
-                let v = val(&mut e);
-                dense[start + r][start + c] = v;
-                // Pattern-symmetric (so the block is one SCC) but not
-                // value-symmetric: keep the elimination generic.
-                dense[start + c][start + r] = 0.5 * v - 0.25;
-            }
-        }
-        // One-way edge from the previous block: cannot close a cycle,
-        // so the SCCs stay the diagonal blocks.
-        if let Some(p) = prev_start {
-            dense[p][start] = val(&mut e);
-        }
-        prev_start = Some(start);
-        start += d;
-    }
-    for (r, row) in dense.iter_mut().enumerate() {
-        let rowsum: f64 = row
-            .iter()
-            .enumerate()
-            .filter(|&(c, _)| c != r)
-            .map(|(_, v)| v.abs())
-            .sum();
-        row[r] = rowsum + 1.0;
-    }
-    let mut t = TripletList::new(n);
-    for (r, row) in dense.iter().enumerate() {
-        for (c, &v) in row.iter().enumerate() {
-            if v != 0.0 {
-                t.push(r, c, v);
-            }
-        }
-    }
-    let mut csc = CscMatrix::empty();
-    t.compress_into(&mut csc);
-    csc
 }
 
 proptest! {
@@ -175,42 +117,42 @@ proptest! {
         }
     }
 
-    /// Threaded BTF block factoring is bitwise-equal to serial for
-    /// every forced lane count, both on a cold factorization and on a
-    /// warm same-pattern `refactor` that re-uses the instance's block
-    /// workspaces.
+    /// The cold corner-batched noise dispatcher is bitwise-equal under
+    /// every forced lane count to its serial per-corner route: threaded
+    /// (corner × frequency) tiles and the one-corner-after-another walk
+    /// run the same scalar points.
     #[test]
-    fn threaded_btf_factor_is_bitwise_serial(
-        dims in prop::collection::vec(1usize..28, 2..5),
-        entries in prop::collection::vec(-10.0..10.0f64, 64),
-        rhs in prop::collection::vec(-100.0..100.0f64, 112),
+    fn threaded_noise_batch_is_bitwise_serial(
+        segs in 3usize..20,
+        scales in prop::collection::vec(10.0..1e4f64, 1..4),
+        npts in 2usize..8,
+        crossover in 2usize..40,
     ) {
-        let a = block_diag_dominant(&dims, &entries);
-        let n: usize = dims.iter().sum();
-        let b = &rhs[..n];
-        let mut serial = BtfLu::empty();
-        serial.set_parallelism(Parallelism::Off);
-        serial.refactor(&a, 1e-300).expect("dominant");
-        let xs = serial.solve(b);
+        let corners: Vec<(Circuit, Node)> =
+            scales.iter().map(|&r| noisy_ladder(segs, r)).collect();
+        let ops: Vec<OpPoint> = corners
+            .iter()
+            .map(|(c, _)| dc_operating_point(c, &DcOptions::default()).expect("ladder solves"))
+            .collect();
+        let op_refs: Vec<&OpPoint> = ops.iter().collect();
+        let outs: Vec<Node> = corners.iter().map(|(_, o)| *o).collect();
+        let temps: Vec<f64> = (0..corners.len()).map(|i| 250.0 + 25.0 * i as f64).collect();
+        let freqs = freq_grid(npts);
+        let base = SolverConfig { crossover, ..SolverConfig::default() };
+        let run = |par: Parallelism| {
+            let solvers: Vec<AcSolver<'_>> = corners
+                .iter()
+                .zip(&ops)
+                .map(|((c, _), op)| AcSolver::new(c, op).with_config(base.with_parallelism(par)))
+                .collect();
+            noise_analysis_batch(
+                &solvers, &op_refs, &outs, &freqs, &temps,
+                &mut AcBatchWorkspace::new(),
+            )
+        };
+        let serial = run(Parallelism::Off);
         for t in LANES {
-            let mut btf = BtfLu::empty();
-            btf.set_parallelism(Parallelism::Threads(t));
-            btf.refactor(&a, 1e-300).expect("dominant");
-            prop_assert_eq!(btf.nblocks(), serial.nblocks());
-            prop_assert_eq!(btf.factor_nnz(), serial.factor_nnz());
-            prop_assert_eq!(btf.solve(b), xs.clone(), "cold, lanes={}", t);
-            // Warm refactor: same pattern, scaled values, through the
-            // same instance (per-block factor buffers re-used).
-            let scaled: Vec<f64> = entries.iter().map(|v| v * 1.5 + 0.125).collect();
-            let a2 = block_diag_dominant(&dims, &scaled);
-            prop_assert_eq!(a.col_ptr(), a2.col_ptr());
-            prop_assert_eq!(a.row_idx(), a2.row_idx());
-            btf.refactor(&a2, 1e-300).expect("dominant");
-            let mut fresh = BtfLu::empty();
-            fresh.set_parallelism(Parallelism::Off);
-            fresh.refactor(&a2, 1e-300).expect("dominant");
-            prop_assert_eq!(btf.solve(b), fresh.solve(b), "warm, lanes={}", t);
-            prop_assert_eq!(btf.factor_nnz(), fresh.factor_nnz());
+            prop_assert_eq!(&serial, &run(Parallelism::Threads(t)), "lanes={}", t);
         }
     }
 

@@ -1,16 +1,13 @@
 //! Property-based tests for the structural-analysis layer
 //! (`linalg::structure`): maximum matching must compute the true
-//! structural rank (== numeric rank for generic values), the BTF
-//! decomposition must be a valid block-upper-triangular permutation, the
-//! BTF factorization must agree with the plain sparse path and be
-//! bitwise-stable across same-pattern refactors, and the structural
-//! preflight must reject a floating-node circuit before any Newton work.
+//! structural rank (== numeric rank for generic values), the structural
+//! preflight must name an emptied column and reject a floating-node
+//! circuit before any Newton work, and the sparse backend behind it must
+//! deliver the dense kernels' DC answer on a mesh.
 
 use autockt_sim::dc::{dc_operating_point, DcOptions};
-use autockt_sim::linalg::sparse::{CscMatrix, SparseLu, TripletList};
-use autockt_sim::linalg::structure::{
-    btf_decompose, maximum_matching, structural_check, BtfLu, UNMATCHED,
-};
+use autockt_sim::linalg::sparse::{CscMatrix, TripletList};
+use autockt_sim::linalg::structure::{maximum_matching, structural_check, UNMATCHED};
 use autockt_sim::netlist::{Circuit, GND};
 use autockt_sim::{SimError, SolverConfig};
 use proptest::prelude::*;
@@ -82,9 +79,7 @@ fn numeric_rank(a: &CscMatrix<f64>) -> usize {
 }
 
 /// A diagonally dominant matrix over a random sparsity pattern with a
-/// full diagonal: structurally and numerically nonsingular, and with
-/// enough sparsity that the BTF decomposition regularly finds several
-/// blocks.
+/// full diagonal: structurally and numerically nonsingular.
 fn dominant_on_pattern(n: usize, slots: &[usize], vals: &[f64]) -> CscMatrix<f64> {
     let mut dense = vec![vec![0.0f64; n]; n];
     for (i, &s) in slots.iter().enumerate() {
@@ -139,100 +134,6 @@ proptest! {
             prop_assert!(col.contains(&r), "matched row not in column pattern");
         }
         prop_assert_eq!(counted, rank);
-    }
-
-    /// On full-structural-rank patterns the BTF decomposition is a valid
-    /// permutation pair: blocks tile `0..n`, the permuted diagonal is
-    /// structurally nonzero, and every entry lands in a block row at or
-    /// above its block column (block upper triangular).
-    #[test]
-    fn btf_is_a_block_upper_triangular_permutation(
-        n in 1usize..12,
-        slots in prop::collection::vec(0usize..150, 0..50),
-        vals in prop::collection::vec(-10.0..10.0f64, 40),
-    ) {
-        let a = dominant_on_pattern(n, &slots, &vals);
-        let match_row = structural_check(n, a.col_ptr(), a.row_idx()).expect("full diagonal");
-        let btf = btf_decompose(n, a.col_ptr(), a.row_idx(), &match_row);
-        // Permutation validity.
-        for perm in [&btf.row_perm, &btf.col_perm] {
-            prop_assert_eq!(perm.len(), n);
-            let mut seen = vec![false; n];
-            for &p in perm {
-                prop_assert!(p < n && !seen[p], "not a permutation");
-                seen[p] = true;
-            }
-        }
-        // Blocks tile the index range exactly.
-        prop_assert_eq!(*btf.block_ptr.first().expect("nonempty block_ptr"), 0);
-        prop_assert_eq!(*btf.block_ptr.last().expect("nonempty block_ptr"), n);
-        prop_assert!(btf.block_ptr.windows(2).all(|w| w[0] < w[1]));
-        let mut rpos = vec![0usize; n];
-        for (k, &r) in btf.row_perm.iter().enumerate() {
-            rpos[r] = k;
-        }
-        let mut block_of = vec![0usize; n];
-        for b in 0..btf.nblocks() {
-            for pos in block_of
-                .iter_mut()
-                .take(btf.block_ptr[b + 1])
-                .skip(btf.block_ptr[b])
-            {
-                *pos = b;
-            }
-        }
-        for (k, &j) in btf.col_perm.iter().enumerate() {
-            let col = &a.row_idx()[a.col_ptr()[j]..a.col_ptr()[j + 1]];
-            // Structurally nonzero diagonal (the matching, permuted).
-            prop_assert!(col.contains(&btf.row_perm[k]), "zero-free diagonal violated");
-            for &i in col {
-                prop_assert!(
-                    block_of[rpos[i]] <= block_of[k],
-                    "entry below the diagonal blocks"
-                );
-            }
-        }
-    }
-
-    /// BTF and plain sparse factorizations agree on the solution to
-    /// solver tolerance, and a same-pattern BTF refactor is bitwise
-    /// identical to a freshly decomposed factorization of the same
-    /// values.
-    #[test]
-    fn btf_solve_matches_plain_and_refactor_is_bitwise(
-        n in 1usize..12,
-        slots in prop::collection::vec(0usize..150, 0..50),
-        vals in prop::collection::vec(-10.0..10.0f64, 40),
-        rhs in prop::collection::vec(-100.0..100.0f64, 12),
-    ) {
-        let a = dominant_on_pattern(n, &slots, &vals);
-        let mut btf = BtfLu::empty();
-        btf.refactor(&a, 1e-300).expect("dominant");
-        let plain = SparseLu::factor(&a, 1e-300).expect("dominant");
-        let b = &rhs[..n];
-        let xb = btf.solve(b);
-        let xp = plain.solve(b);
-        for (u, v) in xb.iter().zip(&xp) {
-            prop_assert!((u - v).abs() <= 1e-9 * (1.0 + v.abs()), "{u} vs {v}");
-        }
-        // Same-pattern refactor with scaled values: warm path vs fresh
-        // decomposition must produce bitwise-equal solutions.
-        let mut t = TripletList::new(n);
-        for j in 0..n {
-            for p in a.col_ptr()[j]..a.col_ptr()[j + 1] {
-                t.push(a.row_idx()[p], j, a.values()[p] * 1.5);
-            }
-        }
-        let mut a2 = CscMatrix::empty();
-        t.compress_into(&mut a2);
-        prop_assert_eq!(a.col_ptr(), a2.col_ptr());
-        prop_assert_eq!(a.row_idx(), a2.row_idx());
-        btf.refactor(&a2, 1e-300).expect("dominant");
-        let mut fresh = BtfLu::empty();
-        fresh.refactor(&a2, 1e-300).expect("dominant");
-        prop_assert_eq!(btf.solve(b), fresh.solve(b));
-        prop_assert_eq!(btf.factor_nnz(), fresh.factor_nnz());
-        prop_assert_eq!(btf.nblocks(), fresh.nblocks());
     }
 
     /// Deleting a column's every entry from a full-rank pattern drops the
@@ -336,21 +237,23 @@ fn floating_mesh_node_fails_structural_preflight_before_newton() {
     assert!(op.iterations() >= 1);
 }
 
-/// The BTF mode must deliver the same DC answer as the plain sparse mode
-/// on a real circuit solve, end to end through the Newton loop.
+/// The sparse backend must deliver the dense kernels' DC answer on a
+/// regularized mesh (the PEX shape the sparse route exists for), end to
+/// end through the Newton loop.
 #[test]
-fn btf_and_plain_sparse_dc_agree_on_mesh() {
+fn sparse_and_dense_dc_agree_on_mesh() {
     let (ckt, _) = floating_mesh_circuit(5);
-    let solve = |btf: bool| {
+    let solve = |solver: SolverConfig| {
         let opts = DcOptions {
-            solver: SolverConfig::sparse().with_btf(btf),
+            solver,
             ..DcOptions::default()
         };
         dc_operating_point(&ckt, &opts).expect("regularized mesh solves")
     };
-    let with_btf = solve(true);
-    let plain = solve(false);
-    for (a, b) in with_btf.voltages().iter().zip(plain.voltages()) {
+    let sparse = solve(SolverConfig::sparse());
+    let dense = solve(SolverConfig::dense());
+    assert_eq!(sparse.voltages().len(), dense.voltages().len());
+    for (a, b) in sparse.voltages().iter().zip(dense.voltages()) {
         assert!((a - b).abs() <= 1e-9 * (1.0 + b.abs()), "{a} vs {b}");
     }
 }
