@@ -11,7 +11,7 @@
 use crate::ga::{GaConfig, GaOutcome};
 use autockt_circuits::{EvalSession, SimMode, SizingProblem};
 use autockt_core::{is_success, reward};
-use autockt_rl::mlp::{Activation, Mlp};
+use autockt_rl::mlp::{Activation, BatchCache, Mlp, GRAD_BLOCK};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -137,11 +137,21 @@ pub fn ga_ml_solve(
         }
         // Retrain the discriminator on everything simulated so far.
         if dataset.len() >= cfg.warmup {
+            let xs: Vec<f64> = dataset
+                .iter()
+                .flat_map(|(x, _)| x.iter().copied())
+                .collect();
+            let ys: Vec<f64> = dataset.iter().map(|(_, y)| *y).collect();
+            let mut cache = BatchCache::default();
+            let mut dout = Vec::with_capacity(GRAD_BLOCK);
             for _ in 0..cfg.train_epochs {
                 model.zero_grad();
-                for (x, y) in &dataset {
-                    let (out, cache_fw) = model.forward_cache(x);
-                    model.backward(&cache_fw, &[out[0] - y]);
+                for lo in (0..ys.len()).step_by(GRAD_BLOCK) {
+                    let hi = ys.len().min(lo + GRAD_BLOCK);
+                    let out = model.forward_batch(&xs[lo * n..hi * n], hi - lo, &mut cache);
+                    dout.clear();
+                    dout.extend(out.iter().zip(&ys[lo..hi]).map(|(o, y)| o - y));
+                    model.backward_batch(&mut cache, &dout);
                 }
                 model.scale_grad(1.0 / dataset.len() as f64);
                 model.adam_step(cfg.lr);

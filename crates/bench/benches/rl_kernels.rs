@@ -1,8 +1,9 @@
 //! Criterion micro-benchmarks of the learning stack: forward/backward
-//! passes of the paper's 3x50 network and a full PPO update on a synthetic
-//! batch.
+//! passes of the paper's 3x50 network, one sample and one gradient block
+//! at a time, and full PPO updates on synthetic batches — a small one and
+//! one of the training workload's shape.
 
-use autockt_rl::mlp::{Activation, Mlp};
+use autockt_rl::mlp::{Activation, BatchCache, Mlp, GRAD_BLOCK};
 use autockt_rl::policy::PolicyNet;
 use autockt_rl::ppo::{Ppo, PpoConfig};
 use autockt_rl::rollout::{compute_gae, Batch, Transition};
@@ -24,10 +25,16 @@ fn bench_mlp(c: &mut Criterion) {
         b.iter(|| net.forward(black_box(&x)))
     });
     let mut net2 = net.clone();
-    c.bench_function("mlp_forward_backward_3x50", |b| {
+    let xs: Vec<f64> = (0..13 * GRAD_BLOCK)
+        .map(|i| (i as f64 * 0.1).sin())
+        .collect();
+    let mut cache = BatchCache::default();
+    let mut dout = Vec::new();
+    c.bench_function("mlp_forward_backward_3x50_block", |b| {
         b.iter(|| {
-            let (y, cache) = net2.forward_cache(black_box(&x));
-            net2.backward(&cache, &y);
+            dout.clear();
+            dout.extend_from_slice(net2.forward_batch(black_box(&xs), GRAD_BLOCK, &mut cache));
+            net2.backward_batch(&mut cache, &dout);
         })
     });
 }
@@ -81,5 +88,28 @@ fn bench_ppo_update(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_mlp, bench_policy_act, bench_ppo_update);
+/// One update of the training workload's shape: `PpoConfig::default()`
+/// (2048 samples, 8 epochs of 256-sample minibatches, 3x50 nets) on a
+/// 15-dim observation with 7 three-way action factors.
+fn bench_ppo_update_train_shape(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(5);
+    let cfg = PpoConfig::default();
+    let n = cfg.steps_per_iter;
+    let mut agent = Ppo::new(15, &[3; 7], cfg, 6);
+    c.bench_function("ppo_update_2048x8", |b| {
+        b.iter_batched(
+            || synthetic_batch(n, 15, 7, &mut rng),
+            |mut batch| agent.update(black_box(&mut batch)),
+            criterion::BatchSize::LargeInput,
+        )
+    });
+}
+
+criterion_group!(
+    benches,
+    bench_mlp,
+    bench_policy_act,
+    bench_ppo_update,
+    bench_ppo_update_train_shape
+);
 criterion_main!(benches);

@@ -701,7 +701,9 @@ impl CornerEvaluator {
 /// Reduces per-corner spec rows to the worst case in each spec's
 /// constraint direction (paper: "taking the worst performing metric as
 /// the specification") — the fold every topology's `PexWorstCase`
-/// evaluation shares.
+/// evaluation shares. A NaN in any corner makes that spec NaN (`f64::min`
+/// and `max` would drop it and report the other corners), so the reward
+/// scores it as the worst shortfall.
 ///
 /// # Panics
 ///
@@ -710,10 +712,14 @@ pub fn worst_case(specs: &[SpecDef], per_corner: &[Vec<f64>]) -> Vec<f64> {
     assert!(!per_corner.is_empty());
     let mut out = per_corner[0].clone();
     for row in &per_corner[1..] {
-        for (i, v) in row.iter().enumerate() {
-            out[i] = match specs[i].kind {
-                SpecKind::HardMin => out[i].min(*v),
-                SpecKind::HardMax | SpecKind::Minimize => out[i].max(*v),
+        for (o, (v, spec)) in out.iter_mut().zip(row.iter().zip(specs)) {
+            *o = if o.is_nan() || v.is_nan() {
+                f64::NAN
+            } else {
+                match spec.kind {
+                    SpecKind::HardMin => o.min(*v),
+                    SpecKind::HardMax | SpecKind::Minimize => o.max(*v),
+                }
             };
         }
     }
@@ -1500,6 +1506,53 @@ mod tests {
         // Cc [0.1, 10.0, 0.1] * 1 pF: 100 points.
         let p = ParamSpec::swept("cc", 0.1, 10.0, 0.1, 1e-12);
         assert_eq!(p.cardinality(), 100);
+    }
+
+    #[test]
+    fn worst_case_propagates_nan_from_any_corner() {
+        let kinds = [SpecKind::HardMin, SpecKind::HardMax, SpecKind::Minimize];
+        let specs: Vec<SpecDef> = kinds
+            .iter()
+            .map(|&kind| SpecDef {
+                name: "s",
+                unit: "",
+                kind,
+                lo: 0.0,
+                hi: 1.0,
+                fail_value: 0.0,
+            })
+            .collect();
+        let rows = vec![
+            vec![1.0, 1.0, 1.0],
+            vec![2.0, 2.0, 2.0],
+            vec![3.0, 3.0, 3.0],
+        ];
+        assert_eq!(worst_case(&specs, &rows), vec![1.0, 3.0, 3.0]);
+        for corner in 0..rows.len() {
+            for slot in 0..specs.len() {
+                let mut bad = rows.clone();
+                bad[corner][slot] = f64::NAN;
+                let out = worst_case(&specs, &bad);
+                for (i, v) in out.iter().enumerate() {
+                    assert_eq!(
+                        v.is_nan(),
+                        i == slot,
+                        "corner {corner} slot {slot}: {out:?}"
+                    );
+                }
+                // Infinities are ordinary values: they win only in the
+                // spec's own worst direction.
+                for inf in [f64::INFINITY, f64::NEG_INFINITY] {
+                    bad[corner][slot] = inf;
+                    let v = worst_case(&specs, &bad)[slot];
+                    let worst = match specs[slot].kind {
+                        SpecKind::HardMin => inf < 0.0,
+                        SpecKind::HardMax | SpecKind::Minimize => inf > 0.0,
+                    };
+                    assert_eq!(v == inf, worst, "corner {corner} slot {slot}: {v}");
+                }
+            }
+        }
     }
 
     #[test]

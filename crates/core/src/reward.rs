@@ -32,12 +32,21 @@ pub fn normalize(o: f64, t: f64) -> f64 {
 /// instead accumulates only shortfalls for every spec (a minimized spec
 /// over its target is a shortfall; under it contributes zero), which is
 /// what we reproduce: success genuinely requires all specifications met.
+///
+/// A non-finite relative difference (a NaN or infinite measurement or
+/// target) scores -1, the worst shortfall a finite one can reach, so it
+/// can never read as met.
 pub fn spec_contribution(kind: SpecKind, o: f64, t: f64) -> f64 {
-    match kind {
+    let n = match kind {
         // Must exceed the target: penalize shortfall only.
-        SpecKind::HardMin => normalize(o, t).min(0.0),
+        SpecKind::HardMin => normalize(o, t),
         // Must stay below the target: penalize excess only.
-        SpecKind::HardMax | SpecKind::Minimize => normalize(t, o).min(0.0),
+        SpecKind::HardMax | SpecKind::Minimize => normalize(t, o),
+    };
+    if n.is_finite() {
+        n.min(0.0)
+    } else {
+        -1.0
     }
 }
 
@@ -155,6 +164,32 @@ mod tests {
         for (o, t) in [(1.0, 1e9), (1e9, 1.0), (5.0, 5.0), (0.0, 1.0)] {
             let n = normalize(o, t);
             assert!((-1.0..=1.0).contains(&n), "n({o},{t}) = {n}");
+        }
+    }
+
+    #[test]
+    fn non_finite_spec_is_worst_shortfall() {
+        let d = defs();
+        let (o, t) = ([300.0, 1e-3], [200.0, 2e-3]);
+        assert!(
+            is_success(reward(&d, &o, &t)),
+            "the finite design meets all"
+        );
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for kind in [SpecKind::HardMin, SpecKind::HardMax, SpecKind::Minimize] {
+                assert_eq!(spec_contribution(kind, bad, 1.0), -1.0, "{kind:?} o={bad}");
+                assert_eq!(spec_contribution(kind, 1.0, bad), -1.0, "{kind:?} t={bad}");
+            }
+            for slot in 0..d.len() {
+                let (mut o_bad, mut t_bad) = (o, t);
+                o_bad[slot] = bad;
+                t_bad[slot] = bad;
+                for (oo, tt) in [(&o_bad, &t), (&o, &t_bad)] {
+                    let r = reward(&d, oo, tt);
+                    assert_eq!(r, -1.0, "slot {slot} = {bad}: r = {r}");
+                    assert!(!is_success(r));
+                }
+            }
         }
     }
 }

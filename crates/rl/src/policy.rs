@@ -5,7 +5,7 @@
 //! circuit parameter, each a 3-way decrement/keep/increment categorical).
 //! The value function is a separate network of the same shape.
 
-use crate::mlp::{log_sum_exp, softmax, Activation, Mlp};
+use crate::mlp::{log_sum_exp, softmax, Activation, BatchCache, Mlp};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -14,6 +14,48 @@ use rand::Rng;
 pub struct PolicyNet {
     net: Mlp,
     action_dims: Vec<usize>,
+}
+
+/// A block of PPO samples, laid out sample-major for
+/// [`PolicyNet::ppo_grad_batch`]. The block holds `advantage.len()`
+/// samples; `obs` has `obs_dim` entries per sample and `actions` one per
+/// action factor.
+#[derive(Debug, Clone, Copy)]
+pub struct PpoSamples<'a> {
+    /// Observations, `bsz x obs_dim`.
+    pub obs: &'a [f64],
+    /// Factored actions taken, `bsz x factors`.
+    pub actions: &'a [usize],
+    /// Log-probabilities under the behaviour policy.
+    pub logp_old: &'a [f64],
+    /// Normalized advantages.
+    pub advantage: &'a [f64],
+}
+
+/// Reusable buffers of the batched gradient methods: the network's
+/// [`BatchCache`], the output gradient, and the per-sample diagnostics of
+/// the last [`PolicyNet::ppo_grad_batch`] call. Keep one per network.
+#[derive(Debug, Clone, Default)]
+pub struct GradWorkspace {
+    cache: BatchCache,
+    dout: Vec<f64>,
+    probs: Vec<f64>,
+    logp_new: Vec<f64>,
+    entropy: Vec<f64>,
+}
+
+impl GradWorkspace {
+    /// Per-sample log-probabilities under the current policy, from the
+    /// last [`PolicyNet::ppo_grad_batch`] call.
+    pub fn logp_new(&self) -> &[f64] {
+        &self.logp_new
+    }
+
+    /// Per-sample policy entropies, from the last
+    /// [`PolicyNet::ppo_grad_batch`] call.
+    pub fn entropy(&self) -> &[f64] {
+        &self.entropy
+    }
 }
 
 /// Outcome of sampling the policy at one observation.
@@ -119,65 +161,79 @@ impl PolicyNet {
         (logp, ent)
     }
 
-    /// One PPO-clip gradient accumulation step for a single sample.
+    /// PPO-clip gradient accumulation for a block of samples.
     ///
-    /// Accumulates `d(-L_clip - ent_coef * H)/d(theta)` into the network's
-    /// gradient buffers. Returns `(logp_new, entropy)` for diagnostics.
-    pub fn accumulate_ppo_grad(
+    /// Accumulates `d(-L_clip - ent_coef * H)/d(theta)` of every sample
+    /// into the network's gradient buffers, in sample order. Leaves each
+    /// sample's `(logp_new, entropy)` in `ws` for diagnostics.
+    pub fn ppo_grad_batch(
         &mut self,
-        obs: &[f64],
-        actions: &[usize],
-        logp_old: f64,
-        advantage: f64,
+        samples: PpoSamples<'_>,
         clip: f64,
         ent_coef: f64,
-    ) -> (f64, f64) {
-        let (out, cache) = self.net.forward_cache(obs);
-        let mut dlogits = vec![0.0; out.len()];
-        let mut logp_new = 0.0;
-        let mut entropy = 0.0;
-
-        // First pass: compute logp_new to decide clipping.
-        let mut off = 0;
-        for (&d, &a) in self.action_dims.iter().zip(actions) {
-            let z = &out[off..off + d];
-            logp_new += z[a] - log_sum_exp(z);
-            off += d;
-        }
-        let ratio = (logp_new - logp_old).exp();
-        // Clipped-surrogate gradient gate: gradient flows through the ratio
-        // only when the unclipped term is the active minimum.
-        let unclipped_active = if advantage >= 0.0 {
-            ratio < 1.0 + clip
-        } else {
-            ratio > 1.0 - clip
-        };
-        let dlogp = if unclipped_active {
-            -advantage * ratio // d(-ratio*A)/dlogp_new
-        } else {
-            0.0
-        };
-
-        let mut off = 0;
-        for (&d, &a) in self.action_dims.iter().zip(actions) {
-            let z = &out[off..off + d];
-            let p = softmax(z);
-            let h: f64 = -p
-                .iter()
-                .map(|&pi| if pi > 0.0 { pi * pi.ln() } else { 0.0 })
-                .sum::<f64>();
-            entropy += h;
-            for j in 0..d {
-                // d logp(a) / dz_j = [j == a] - p_j
-                let dlp = (if j == a { 1.0 } else { 0.0 }) - p[j];
-                // dH/dz_j = -p_j (ln p_j + H)
-                let dh = -p[j] * (p[j].max(1e-12).ln() + h);
-                dlogits[off + j] += dlogp * dlp - ent_coef * dh;
+        ws: &mut GradWorkspace,
+    ) {
+        let bsz = samples.advantage.len();
+        let n_logits = self.net.n_out();
+        let n_factors = self.action_dims.len();
+        let out = self.net.forward_batch(samples.obs, bsz, &mut ws.cache);
+        ws.dout.clear();
+        ws.dout.resize(bsz * n_logits, 0.0);
+        ws.probs.clear();
+        ws.probs.resize(n_logits, 0.0);
+        ws.logp_new.clear();
+        ws.entropy.clear();
+        let rows = out
+            .chunks_exact(n_logits.max(1))
+            .zip(ws.dout.chunks_exact_mut(n_logits.max(1)))
+            .zip(samples.actions.chunks(n_factors.max(1)))
+            .zip(samples.logp_old.iter().zip(samples.advantage));
+        for (((out, dlogits), actions), (&logp_old, &advantage)) in rows {
+            // First pass: each factor's softmax, and logp_new to decide
+            // clipping.
+            let mut logp_new = 0.0;
+            let mut off = 0;
+            for (&d, &a) in self.action_dims.iter().zip(actions) {
+                let z = &out[off..off + d];
+                logp_new += z[a] - softmax_lse(z, &mut ws.probs[off..off + d]);
+                off += d;
             }
-            off += d;
+            let ratio = (logp_new - logp_old).exp();
+            // Clipped-surrogate gradient gate: gradient flows through the
+            // ratio only when the unclipped term is the active minimum.
+            let unclipped_active = if advantage >= 0.0 {
+                ratio < 1.0 + clip
+            } else {
+                ratio > 1.0 - clip
+            };
+            let dlogp = if unclipped_active {
+                -advantage * ratio // d(-ratio*A)/dlogp_new
+            } else {
+                0.0
+            };
+
+            let mut entropy = 0.0;
+            let mut off = 0;
+            for (&d, &a) in self.action_dims.iter().zip(actions) {
+                let p = &ws.probs[off..off + d];
+                let h: f64 = -p
+                    .iter()
+                    .map(|&pi| if pi > 0.0 { pi * pi.ln() } else { 0.0 })
+                    .sum::<f64>();
+                entropy += h;
+                for j in 0..d {
+                    // d logp(a) / dz_j = [j == a] - p_j
+                    let dlp = (if j == a { 1.0 } else { 0.0 }) - p[j];
+                    // dH/dz_j = -p_j (ln p_j + H)
+                    let dh = -p[j] * (p[j].max(1e-12).ln() + h);
+                    dlogits[off + j] += dlogp * dlp - ent_coef * dh;
+                }
+                off += d;
+            }
+            ws.logp_new.push(logp_new);
+            ws.entropy.push(entropy);
         }
-        self.net.backward(&cache, &dlogits);
-        (logp_new, entropy)
+        self.net.backward_batch(&mut ws.cache, &ws.dout);
     }
 
     /// Access to the underlying network for optimizer bookkeeping.
@@ -189,6 +245,20 @@ impl PolicyNet {
     pub fn net(&self) -> &Mlp {
         &self.net
     }
+}
+
+/// Writes `softmax(z)` into `p` and returns `log_sum_exp(z)`, both from
+/// one pass of exponentials and with exactly the operations of
+/// [`softmax`] and [`log_sum_exp`], so the results are bit-identical to
+/// theirs.
+fn softmax_lse(z: &[f64], p: &mut [f64]) -> f64 {
+    let m = z.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    for (pj, v) in p.iter_mut().zip(z) {
+        *pj = (v - m).exp();
+    }
+    let s: f64 = p.iter().sum();
+    p.iter_mut().for_each(|e| *e /= s);
+    m + s.ln()
 }
 
 /// A state-value network (same trunk shape as the policy).
@@ -214,13 +284,21 @@ impl ValueNet {
         self.net.forward(obs)[0]
     }
 
-    /// Accumulates the gradient of `0.5 * (v(obs) - target)^2`.
-    /// Returns the current prediction.
-    pub fn accumulate_mse_grad(&mut self, obs: &[f64], target: f64, coef: f64) -> f64 {
-        let (out, cache) = self.net.forward_cache(obs);
-        let v = out[0];
-        self.net.backward(&cache, &[coef * (v - target)]);
-        v
+    /// Accumulates the gradient of `coef * 0.5 * (v(obs) - target)^2` for a
+    /// block of samples (`obs` is `targets.len() x obs_dim`), in sample
+    /// order.
+    pub fn mse_grad_batch(
+        &mut self,
+        obs: &[f64],
+        targets: &[f64],
+        coef: f64,
+        ws: &mut GradWorkspace,
+    ) {
+        let v = self.net.forward_batch(obs, targets.len(), &mut ws.cache);
+        ws.dout.clear();
+        ws.dout
+            .extend(v.iter().zip(targets).map(|(v, target)| coef * (v - target)));
+        self.net.backward_batch(&mut ws.cache, &ws.dout);
     }
 
     /// Access to the underlying network for optimizer bookkeeping.
@@ -299,10 +377,17 @@ mod tests {
         let mut p = PolicyNet::new(2, &[3], &[8], &mut r);
         let obs = [0.2, 0.8];
         let (logp_before, _) = p.logp_entropy(&obs, &[2]);
+        let mut ws = GradWorkspace::default();
         for _ in 0..50 {
             let (logp_old, _) = p.logp_entropy(&obs, &[2]);
             p.net_mut().zero_grad();
-            p.accumulate_ppo_grad(&obs, &[2], logp_old, 1.0, 0.2, 0.0);
+            let samples = PpoSamples {
+                obs: &obs,
+                actions: &[2],
+                logp_old: &[logp_old],
+                advantage: &[1.0],
+            };
+            p.ppo_grad_batch(samples, 0.2, 0.0, &mut ws);
             p.net_mut().adam_step(1e-2);
         }
         let (logp_after, _) = p.logp_entropy(&obs, &[2]);
@@ -323,8 +408,16 @@ mod tests {
         // Pretend old policy had much lower prob: ratio >> 1 + clip.
         let logp_old = logp_now - 2.0;
         p.net_mut().zero_grad();
-        p.accumulate_ppo_grad(&obs, &[1], logp_old, 1.0, 0.2, 0.0);
+        let samples = PpoSamples {
+            obs: &obs,
+            actions: &[1],
+            logp_old: &[logp_old],
+            advantage: &[1.0],
+        };
+        let mut ws = GradWorkspace::default();
+        p.ppo_grad_batch(samples, 0.2, 0.0, &mut ws);
         assert!(p.net().grad_norm() < 1e-12, "clipped sample must not move");
+        assert_eq!(ws.logp_new(), &[logp_now]);
     }
 
     #[test]
@@ -332,9 +425,10 @@ mod tests {
         let mut r = rng();
         let mut v = ValueNet::new(3, &[16], &mut r);
         let obs = [0.4, -0.2, 0.9];
+        let mut ws = GradWorkspace::default();
         for _ in 0..500 {
             v.net_mut().zero_grad();
-            v.accumulate_mse_grad(&obs, 3.5, 1.0);
+            v.mse_grad_batch(&obs, &[3.5], 1.0, &mut ws);
             v.net_mut().adam_step(3e-3);
         }
         assert!((v.value(&obs) - 3.5).abs() < 0.05);
