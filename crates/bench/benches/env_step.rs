@@ -184,9 +184,9 @@ fn benches(c: &mut Criterion) {
             false,
         );
     }
-    // TIA `PexWorstCase` at dense mesh dims: the noise-bound step the
-    // corner-corrected noise analysis moves (serial = scalar per-corner
-    // noise, batched = corrected noise + corrected sweep when warm).
+    // TIA `PexWorstCase` at dense mesh dims (serial = scalar kernels per
+    // corner; batched = the batched noise dispatcher plus, when warm, the
+    // corner-corrected AC sweep and settling).
     let dense_tia = || {
         let base = Tia::default();
         let pex = PexConfig {
@@ -309,17 +309,15 @@ fn bench_ac_kernels(c: &mut Criterion) {
 }
 
 /// One full TIA corner-set noise analysis (6 corners x the noise grid)
-/// through the three pipelines — serial per corner, the cold batched
+/// through the two pipelines — serial per corner and the batched
 /// dispatcher (per-corner scalar arithmetic, threaded over the corner ×
-/// frequency grid when lanes are granted), and base-plus-Woodbury
-/// corrected (the warm
-/// fast path, per-source base solves shared across corners) — over the
-/// same [`autockt_bench::NoiseCornerCase`] workloads as `bench_env_step`'s
+/// frequency grid when lanes are granted) — over the same
+/// [`autockt_bench::NoiseCornerCase`] workloads as `bench_env_step`'s
 /// noise-corner section.
 fn bench_noise_corners(c: &mut Criterion) {
     use autockt_sim::ac::{AcBatchWorkspace, AcSolver, AcWorkspace};
     use autockt_sim::dc::OpPoint;
-    use autockt_sim::noise::{noise_analysis_batch, noise_analysis_corners, noise_analysis_ws};
+    use autockt_sim::noise::{noise_analysis_batch, noise_analysis_ws};
     for depth in [0usize, 4] {
         let case = autockt_bench::tia_noise_corner_case(depth).expect("TIA corner workload builds");
         let solvers: Vec<AcSolver<'_>> = case
@@ -340,19 +338,6 @@ fn bench_noise_corners(c: &mut Criterion) {
             });
         });
         let mut ws = AcBatchWorkspace::new();
-        c.bench_function(&format!("noise_corners_corrected_tia_mesh{depth}"), |b| {
-            b.iter(|| {
-                let r = noise_analysis_corners(
-                    &solvers,
-                    &op_refs,
-                    &outs,
-                    &case.freqs,
-                    &case.temps,
-                    &mut ws,
-                );
-                black_box(r.len())
-            });
-        });
         c.bench_function(&format!("noise_corners_batch_tia_mesh{depth}"), |b| {
             b.iter(|| {
                 let r = noise_analysis_batch(

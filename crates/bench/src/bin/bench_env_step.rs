@@ -41,18 +41,13 @@
 //!   pre-batching behaviour) versus in lockstep through the batched DC
 //!   Newton + AC sweep kernels, at the stock parasitic extraction and
 //!   at dense RC-mesh extractions (`PexConfig::mesh_depth`) where the
-//!   MNA dims reach the 30+ range the batch axis is built for. The TIA
-//!   rows are the noise-bound trajectory the corner-corrected noise
-//!   analysis moves.
+//!   MNA dims reach the 30+ range the batch axis is built for.
 //! - **noise-corner** — one full TIA noise analysis of the PVT corner
 //!   set (6 corners x the noise grid), run serial per corner
-//!   (`noise_analysis_ws`), through the cold batched dispatcher
+//!   (`noise_analysis_ws`) and through the batched dispatcher
 //!   (`noise_analysis_batch`: per-corner scalar arithmetic, threaded over
-//!   the corner × frequency grid when lanes are granted), and
-//!   corner-corrected
-//!   (`noise_analysis_corners`, base factor + Woodbury with shared
-//!   per-source base solves — the warm fast path), at stock and dense
-//!   mesh dims.
+//!   the corner × frequency grid when lanes are granted), at the stock
+//!   and dense mesh dims (mesh 0, 4 and 8).
 //! - **settle-corner** — one full TIA corner-set settling integration
 //!   (2048 trapezoidal steps per corner on a shared time window), run
 //!   serial per corner (`step_response`, the pre-batching behaviour),
@@ -77,7 +72,7 @@
 //!   the point of the section is the honest crossover, not a best case.
 //!
 //! Prints a comparison table and writes `results/BENCH_env_step.json`
-//! (schema `autockt/bench_env_step/v9`) so CI can archive the trajectory.
+//! (schema `autockt/bench_env_step/v10`) so CI can archive the trajectory.
 //!
 //! Run: `cargo run --release -p autockt_bench --bin bench_env_step`
 //! (`--steps N`, `--episode H`, `--seed S` to override).
@@ -94,7 +89,7 @@ use autockt_sim::complex::Complex;
 use autockt_sim::dc::OpPoint;
 use autockt_sim::linalg::sparse::{CscMatrix, SparseLu, TripletList};
 use autockt_sim::linalg::{ComplexLuSoa, LuFactors};
-use autockt_sim::noise::{noise_analysis_batch, noise_analysis_corners, noise_analysis_ws};
+use autockt_sim::noise::{noise_analysis_batch, noise_analysis_ws};
 use autockt_sim::pex::PexConfig;
 use autockt_sim::tran::step_response_corners;
 use autockt_sim::{Parallelism, SolverConfig};
@@ -237,14 +232,13 @@ fn run_multi(
 
 struct NoiseCornerStats {
     serial_us: f64,
-    corrected_us: f64,
     batch_us: f64,
 }
 
-/// One full corner-set noise analysis per iteration through the three
-/// paths — serial per corner, the cold batched dispatcher, and
-/// base-plus-Woodbury corrected — over the shared [`NoiseCornerCase`] workload (the
-/// criterion `noise_corners_*` benches drive the identical cases).
+/// One full corner-set noise analysis per iteration through the two
+/// paths — serial per corner and the batched dispatcher — over the shared
+/// [`NoiseCornerCase`] workload (the criterion `noise_corners_*` benches
+/// drive the identical cases).
 fn time_noise_corner_paths(case: &NoiseCornerCase, iters: u32) -> NoiseCornerStats {
     let solvers: Vec<AcSolver<'_>> = case
         .ckts
@@ -268,14 +262,6 @@ fn time_noise_corner_paths(case: &NoiseCornerCase, iters: u32) -> NoiseCornerSta
     let mut ws = AcBatchWorkspace::new();
     let t0 = Instant::now();
     for _ in 0..iters {
-        let r =
-            noise_analysis_corners(&solvers, &op_refs, &outs, &case.freqs, &case.temps, &mut ws);
-        black_box(r.len());
-    }
-    let corrected_us = t0.elapsed().as_secs_f64() * 1e6 / iters as f64;
-
-    let t0 = Instant::now();
-    for _ in 0..iters {
         let r = noise_analysis_batch(&solvers, &op_refs, &outs, &case.freqs, &case.temps, &mut ws);
         black_box(r.len());
     }
@@ -283,7 +269,6 @@ fn time_noise_corner_paths(case: &NoiseCornerCase, iters: u32) -> NoiseCornerSta
 
     NoiseCornerStats {
         serial_us,
-        corrected_us,
         batch_us,
     }
 }
@@ -725,22 +710,19 @@ fn main() {
     }
 
     // Noise-corner paths: one full TIA corner-set noise analysis through
-    // the serial, corrected (Woodbury), and cold batched pipelines, at
-    // stock and dense mesh dims.
+    // the serial and batched pipelines, at stock and dense mesh dims.
     println!(
-        "\n{:<8} {:>5} {:>4} {:>12} {:>13} {:>11} {:>8} {:>8}",
-        "problem", "mesh", "dim", "serial us", "corrected us", "batch us", "corr x", "batch x"
+        "\n{:<8} {:>5} {:>4} {:>12} {:>11} {:>8}",
+        "problem", "mesh", "dim", "serial us", "batch us", "batch x"
     );
     let mut noise_rows = Vec::new();
-    for depth in [0usize, 4] {
+    for (depth, iters) in [(0usize, 400u32), (4, 60), (8, 30)] {
         let case = tia_noise_corner_case(depth).expect("TIA corner workload builds");
-        let iters = if depth == 0 { 400 } else { 60 };
         let st = time_noise_corner_paths(&case, iters);
-        let corr_x = st.serial_us / st.corrected_us;
         let batch_x = st.serial_us / st.batch_us;
         println!(
-            "{:<8} {:>5} {:>4} {:>12.1} {:>13.1} {:>11.1} {:>7.2}x {:>7.2}x",
-            "tia", depth, case.dim, st.serial_us, st.corrected_us, st.batch_us, corr_x, batch_x
+            "{:<8} {:>5} {:>4} {:>12.1} {:>11.1} {:>7.2}x",
+            "tia", depth, case.dim, st.serial_us, st.batch_us, batch_x
         );
         noise_rows.push(format!(
             concat!(
@@ -751,9 +733,7 @@ fn main() {
                 "      \"corners\": {},\n",
                 "      \"noise_points\": {},\n",
                 "      \"serial_us_per_eval\": {:.2},\n",
-                "      \"corrected_us_per_eval\": {:.2},\n",
                 "      \"batch_us_per_eval\": {:.2},\n",
-                "      \"corrected_speedup\": {:.3},\n",
                 "      \"batch_speedup\": {:.3}\n",
                 "    }}"
             ),
@@ -762,9 +742,7 @@ fn main() {
             case.ckts.len(),
             case.freqs.len(),
             st.serial_us,
-            st.corrected_us,
             st.batch_us,
-            corr_x,
             batch_x
         ));
     }
@@ -1092,7 +1070,7 @@ fn main() {
     let json = format!(
         concat!(
             "{{\n",
-            "  \"schema\": \"autockt/bench_env_step/v9\",\n",
+            "  \"schema\": \"autockt/bench_env_step/v10\",\n",
             "  \"command\": \"cargo run --release -p autockt_bench --bin bench_env_step ",
             "-- --steps {} --episode {} --seed {}\",\n",
             "  \"steps_per_config\": {},\n",

@@ -3,11 +3,11 @@
 //! **bitwise-identical** spec vectors with warm-start off (the lockstep
 //! kernels perform the scalar kernels' arithmetic in the scalar kernels'
 //! order), and warm-started batched evaluation — which routes the sweep
-//! *and the TIA's noise analysis* through the corner-correction
-//! (Woodbury) fast paths at dense dims — must agree with warm serial
-//! within solver tolerance. The TIA's noise spec is additionally diffed
-//! on its own, so a noise-path divergence is reported as such instead of
-//! hiding inside the full-vector comparison.
+//! and the settling through the corner-correction (Woodbury) fast paths
+//! at dense dims — must agree with warm serial within solver tolerance.
+//! The TIA's noise spec is additionally diffed on its own, so a
+//! noise-path divergence is reported as such instead of hiding inside
+//! the full-vector comparison.
 //!
 //! Exits nonzero on any divergence, failing the workflow.
 //!
@@ -150,7 +150,8 @@ fn check_threaded(
 
 /// Dedicated TIA noise-spec diff: serial vs batched (cold bitwise, warm
 /// within tolerance), printing the noise values themselves so the
-/// corner-corrected noise pipeline's agreement is visible in CI logs.
+/// adjoint noise analysis's agreement across the serial and batched
+/// routes is visible in CI logs.
 fn check_tia_noise(depth: usize) -> usize {
     let pex = PexConfig {
         mesh_depth: depth,
@@ -296,9 +297,11 @@ fn main() {
                 .with_corner_strategy(CornerStrategy::Batched),
         );
     }
-    // The TIA's noise spec on its own — the corner-corrected noise
-    // pipeline's serial-vs-batched agreement, stock and dense mesh.
-    for depth in [0usize, 2] {
+    // The TIA's noise spec on its own — the adjoint noise analysis's
+    // serial-vs-batched agreement at the stock dim, the GA's dense dim 32
+    // (mesh 4) and the deploy workload's sparse dim 116 (mesh 16), where
+    // the sparse transposed solve runs.
+    for depth in [0usize, 4, 16] {
         failures += check_tia_noise(depth);
     }
     // The TIA's settling spec on its own — the corner-corrected settle

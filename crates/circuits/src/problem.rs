@@ -13,9 +13,7 @@ use autockt_sim::ac::{
 use autockt_sim::dc::{dc_operating_point_batch, DcBatchWorkspace, DcOptions, OpPoint, WarmState};
 use autockt_sim::device::Pvt;
 use autockt_sim::netlist::{Circuit, Node};
-use autockt_sim::noise::{
-    noise_analysis_batch, noise_analysis_cfg, noise_analysis_corners, NoiseResult,
-};
+use autockt_sim::noise::{noise_analysis_batch, noise_analysis_cfg, NoiseResult};
 use autockt_sim::tran::step_response_corners;
 use autockt_sim::{Parallelism, SimError, SolverConfig};
 use std::collections::{HashMap, VecDeque};
@@ -287,14 +285,11 @@ impl CornerEvaluator {
     /// Enables a per-corner noise analysis over `freqs`, measured at each
     /// corner's output node and temperature, and hands the result to the
     /// measure closure. Running noise *inside* the engine (instead of in
-    /// the closure) is what lets the batched strategy corner-correct it:
-    /// serial corners run the scalar [`noise_analysis_ws`], cold batched
-    /// runs [`noise_analysis_batch`] (the same scalar arithmetic per
-    /// corner, threaded over the corner × frequency grid when the
-    /// scheduler grants lanes — bitwise-identical per corner), and warm
-    /// batched runs the Woodbury-corrected
-    /// [`noise_analysis_corners`] with the per-source base solves shared
-    /// across the corner set.
+    /// the closure) is what lets the batched strategy thread it: serial
+    /// corners run the scalar [`noise_analysis_ws`], batched runs (warm
+    /// and cold) run [`noise_analysis_batch`] — the same scalar
+    /// arithmetic per corner, threaded over the corner × frequency grid
+    /// when the scheduler grants lanes, so bitwise-identical per corner.
     pub fn with_noise(mut self, freqs: Vec<f64>) -> Self {
         self.noise_freqs = Some(freqs);
         self
@@ -640,27 +635,19 @@ impl CornerEvaluator {
         for r in resp_results {
             resps.push(r?);
         }
-        // Noise rides the same dispatch: per-corner scalar arithmetic
-        // (bitwise) when cold, corner-corrected (Woodbury, shared
-        // per-source base solves) when warm. Per-corner failures stay in the row — the measure
-        // closure decides whether a noise failure is fatal.
+        // Noise runs the per-corner scalar arithmetic (bitwise) warm and
+        // cold; a warm session only lends its workspace. Per-corner
+        // failures stay in the row — the measure closure decides whether a
+        // noise failure is fatal.
         let noise_results: Option<Vec<Result<NoiseResult, SimError>>> =
             self.noise_freqs.as_ref().map(|nf| {
                 let ops_refs: Vec<&OpPoint> = ops.iter().collect();
                 let temps: Vec<f64> = cases.iter().map(|c| c.temp_k).collect();
-                match state.as_deref_mut() {
-                    Some(st) => noise_analysis_corners(
-                        &solvers,
-                        &ops_refs,
-                        &outs,
-                        nf,
-                        &temps,
-                        st.ac_batch_workspace(),
-                    ),
-                    None => {
-                        noise_analysis_batch(&solvers, &ops_refs, &outs, nf, &temps, &mut cold_ws)
-                    }
-                }
+                let ws = match state.as_deref_mut() {
+                    Some(st) => st.ac_batch_workspace(),
+                    None => &mut cold_ws,
+                };
+                noise_analysis_batch(&solvers, &ops_refs, &outs, nf, &temps, ws)
             });
         // Settling rides the dispatch too: cold runs the scalar kernel
         // per corner (bitwise-identical to the phased serial reference),
@@ -1842,8 +1829,9 @@ mod tests {
         let batched = run(CornerStrategy::Batched, None).unwrap();
         assert_eq!(serial, batched);
         assert!(serial[1] > 0.0, "noisy resistors must produce output noise");
-        // Warm runs agree within solver tolerance (linear circuits: the
-        // corrected path is exact, so this is tight).
+        // Warm runs agree within solver tolerance: the warm AC sweep is
+        // corner-corrected (exact to roundoff on these linear circuits),
+        // while the noise stage runs the scalar arithmetic either way.
         let mut ws = WarmState::new();
         let mut wb = WarmState::new();
         let s = run(CornerStrategy::Serial, Some(&mut ws)).unwrap();
@@ -1851,6 +1839,7 @@ mod tests {
         for (x, y) in s.iter().zip(&b) {
             assert!((x - y).abs() <= 1e-9 * (1.0 + x.abs()), "{x} vs {y}");
         }
+        assert_eq!(s[1], b[1], "warm noise stage must be bitwise");
     }
 
     /// Engine-level settle wiring: with `with_settling`, both strategies

@@ -155,10 +155,9 @@ proptest! {
         depth in 2usize..5,
         moves in prop::collection::vec(0usize..3, 6),
     ) {
-        // Dense-mesh warm walks route the sweep *and the noise analysis*
-        // through the base-plus-Woodbury corrected paths
-        // (`ac_sweep_corners` / `noise_analysis_corners`) — the TIA's
-        // noise spec pins the corrected noise analysis to the serial
+        // Dense-mesh warm walks route the sweep and the settling through
+        // the base-plus-Woodbury corrected paths (`ac_sweep_corners` /
+        // `step_response_corners`) — this pins them to the serial
         // reference within the warm tolerance at the dims where the
         // correction actually engages.
         let pex = PexConfig {

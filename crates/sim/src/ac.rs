@@ -4,8 +4,8 @@
 //! complex system `(G + j w C) x = b` is then factored and solved per
 //! frequency point. The real `G` and `C` matrices are assembled once per
 //! linearization and reused across the sweep, and the per-frequency LU
-//! factorization is exposed so the noise analysis can reuse it for many
-//! right-hand sides.
+//! factorization is exposed so the noise analysis can reuse it for its
+//! gain and adjoint solves.
 
 use crate::complex::Complex;
 use crate::dc::OpPoint;
@@ -22,10 +22,10 @@ use crate::par::{run_chunks, would_parallelize, Parallelism, WorkspacePool};
 /// dense structure-of-arrays kernel below the sparse crossover, the CSC
 /// sparse LU above it (or when forced by [`SolverConfig`]). Carrying the
 /// backend inside the workspace keeps every downstream back-substitution
-/// site — the sweep loops here and the per-source solves in
+/// site — the sweep loops here and the gain and adjoint solves in
 /// [`crate::noise`] — backend-agnostic: they just call
-/// [`ComplexLu::solve_into`] against whatever [`AcSolver::factor_at_ws`]
-/// produced.
+/// [`ComplexLu::solve_into`] / [`ComplexLu::solve_transpose_into`]
+/// against whatever [`AcSolver::factor_at_ws`] produced.
 // One long-lived instance per workspace, so the dense/sparse size skew
 // is irrelevant — boxing would only add an indirection to the hot solve.
 #[allow(clippy::large_enum_variant)]
@@ -50,6 +50,21 @@ impl ComplexLu {
         match self {
             ComplexLu::Dense(lu) => lu.solve_into(b, x),
             ComplexLu::Sparse(slu) => slu.solve_into(b, x),
+        }
+    }
+
+    /// Solves the transposed system `Aᵀ z = c` (no conjugation) through
+    /// whichever backend holds the current factorization, with `work` as
+    /// scratch.
+    pub(crate) fn solve_transpose_into(
+        &self,
+        c: &[Complex],
+        z: &mut Vec<Complex>,
+        work: &mut Vec<Complex>,
+    ) {
+        match self {
+            ComplexLu::Dense(lu) => lu.solve_transpose_into(c, z, work),
+            ComplexLu::Sparse(slu) => slu.solve_transpose_into(c, z, work),
         }
     }
 }
@@ -78,6 +93,8 @@ pub struct AcWorkspace {
     pub(crate) trip: TripletList<Complex>,
     pub(crate) x: Vec<Complex>,
     pub(crate) rhs: Vec<Complex>,
+    /// Scratch of the transposed (adjoint) solve.
+    pub(crate) work: Vec<Complex>,
     /// Whether this sweep's dense-by-fill decision has been taken (at the
     /// first successful factorization after
     /// [`AcSolver::prepare_workspace`]). Pinning the decision to one
@@ -95,12 +112,11 @@ impl AcWorkspace {
 }
 
 /// Reusable buffers for corner-batched AC sweeps ([`ac_sweep_batch`] and
-/// [`ac_sweep_corners`]) and the corner-batched noise analyses
-/// ([`crate::noise::noise_analysis_batch`] /
-/// [`crate::noise::noise_analysis_corners`]): the lockstep complex batch
+/// [`ac_sweep_corners`]) and the corner-batched noise analysis
+/// ([`crate::noise::noise_analysis_batch`]): the lockstep complex batch
 /// LU of the cold AC sweep, one sparse stamp pattern per corner,
 /// batch-layout right-hand-side/solution buffers, the base-factor/correction
-/// scratch of the corner-correction paths, and the scalar workspace the
+/// scratch of the corner-correction sweep, and the scalar workspace the
 /// per-corner routes sweep through.
 #[derive(Debug, Clone, Default)]
 pub struct AcBatchWorkspace {
@@ -119,11 +135,8 @@ pub struct AcBatchWorkspace {
     pub(crate) unit: Vec<Complex>,
     pub(crate) xcol: Vec<Complex>,
     pub(crate) wflat: Vec<Complex>,
-    /// Flattened per-source base solutions (`ys[s*n..(s+1)*n]`) shared by
-    /// every corner of a frequency point in the corrected noise analysis.
-    pub(crate) ys: Vec<Complex>,
-    /// Scalar-path workspace for the per-corner fallbacks of the noise
-    /// analyses (mismatched structures, stock dims).
+    /// Scalar workspace of the per-corner routes (the sparse sweeps and
+    /// the serial noise route).
     pub(crate) scalar: AcWorkspace,
 }
 
@@ -1290,9 +1303,7 @@ fn scalar_sweeps_ws(
 /// (the difference support spans most of the system) and the lockstep
 /// batch kernels still fit their per-corner working set in cache; above
 /// it the correction wins and the batch-innermost layout starts to
-/// thrash (measured ~0.65x on the dense noise batch), so cold dense
-/// noise runs the scalar kernel per corner instead — bitwise-identical
-/// either way.
+/// thrash.
 pub(crate) const STOCK_DIM_MAX: usize = 16;
 
 /// Corner-correction AC sweep: the fast path of the *warm* batched corner

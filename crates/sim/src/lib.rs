@@ -15,7 +15,8 @@
 //! - [`dc`] — Newton–Raphson operating point with gmin stepping
 //! - [`ac`] — complex-valued small-signal sweeps
 //! - [`tran`] — trapezoidal transient analysis
-//! - [`noise`] — per-source noise analysis with input referral
+//! - [`noise`] — adjoint noise analysis (one transposed solve per
+//!   frequency) with input referral
 //! - [`measure`] — gain / UGBW / phase margin / settling / integration
 //! - [`pex`] — deterministic layout-parasitic extraction (BAG substitute)
 //! - [`export`] — SPICE-deck netlist export for debugging/cross-checking
@@ -77,9 +78,7 @@ pub mod prelude {
     pub use crate::linalg::sparse::{SolverBackend, SolverConfig};
     pub use crate::measure::{db20, integrate_trapezoid, settling_time};
     pub use crate::netlist::{Circuit, Element, Mosfet, Node, Step, GND};
-    pub use crate::noise::{
-        noise_analysis, noise_analysis_batch, noise_analysis_corners, NoiseResult,
-    };
+    pub use crate::noise::{noise_analysis, noise_analysis_batch, NoiseResult};
     pub use crate::par::Parallelism;
     pub use crate::pex::{extract, PexConfig};
     pub use crate::tran::{transient, transient_warm, TranOptions, TranResult};

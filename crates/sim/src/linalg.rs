@@ -195,9 +195,7 @@ impl<T> std::ops::IndexMut<(usize, usize)> for Matrix<T> {
 
 /// LU factorization with partial pivoting of a square matrix.
 ///
-/// Factor once, then [`LuFactors::solve`] any number of right-hand sides —
-/// the noise analysis exploits this by reusing one factorization per
-/// frequency point across every noise source.
+/// Factor once, then [`LuFactors::solve`] any number of right-hand sides.
 #[derive(Debug, Clone)]
 pub struct LuFactors<T> {
     lu: Matrix<T>,
@@ -601,6 +599,53 @@ impl ComplexLuSoa {
                 acc -= Complex::new(lr, li) * xj;
             }
             x[i] = acc / Complex::new(self.re[i * n + i], self.im[i * n + i]);
+        }
+    }
+
+    /// Solves the *transposed* system `Aᵀ z = c` (plain transpose, no
+    /// conjugation) against the stored factors, with `work` as scratch —
+    /// the adjoint solve of the noise analysis, which turns one solve per
+    /// noise source into one solve per frequency. With `PA = LU` this is
+    /// `Uᵀ w = c`, then `Lᵀ v = w`, then `z = Pᵀ v`; both triangular
+    /// passes sweep contiguous rows of the factors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c.len()` does not match the matrix dimension.
+    pub fn solve_transpose_into(
+        &self,
+        c: &[Complex],
+        z: &mut Vec<Complex>,
+        work: &mut Vec<Complex>,
+    ) {
+        let n = self.n;
+        assert_eq!(c.len(), n, "dimension mismatch");
+        work.clear();
+        work.extend_from_slice(c);
+        // Forward substitution with Uᵀ: row i of U scatters into w[i+1..].
+        for i in 0..n {
+            let wi = work[i] / Complex::new(self.re[i * n + i], self.im[i * n + i]);
+            work[i] = wi;
+            let row_re = &self.re[i * n + i + 1..(i + 1) * n];
+            let row_im = &self.im[i * n + i + 1..(i + 1) * n];
+            for ((&ur, &ui), wj) in row_re.iter().zip(row_im).zip(&mut work[i + 1..]) {
+                *wj -= Complex::new(ur, ui) * wi;
+            }
+        }
+        // Back substitution with Lᵀ (unit diagonal): row j of L scatters
+        // into v[..j].
+        for j in (1..n).rev() {
+            let vj = work[j];
+            let row_re = &self.re[j * n..j * n + j];
+            let row_im = &self.im[j * n..j * n + j];
+            for ((&lr, &li), vi) in row_re.iter().zip(row_im).zip(&mut work[..j]) {
+                *vi -= Complex::new(lr, li) * vj;
+            }
+        }
+        z.clear();
+        z.resize(n, Complex::ZERO);
+        for (&p, &v) in self.perm.iter().zip(work.iter()) {
+            z[p] = v;
         }
     }
 }

@@ -11,10 +11,9 @@
 //! `x_b = y0 - W (I + N_b W)^{-1} N_b y0`,  `W = A0^{-1} P_R`.
 //!
 //! This module is the single home of that machinery, generic over the
-//! system scalar so all three users share one implementation:
+//! system scalar so both users share one implementation:
 //!
-//! - the AC sweep ([`crate::ac::ac_sweep_corners`]) and noise analysis
-//!   ([`crate::noise::noise_analysis_corners`]) instantiate it at
+//! - the AC sweep ([`crate::ac::ac_sweep_corners`]) instantiates it at
 //!   [`Complex`](crate::complex::Complex) with the per-frequency stamp
 //!   `dG + j·w·dC`;
 //! - the settling integration ([`crate::tran`]'s
@@ -32,10 +31,9 @@ use crate::error::SimError;
 /// The stamp-difference structure of a corner set relative to its base
 /// corner: which matrix rows any sibling differs on, and each corner's
 /// sparse `(row, col, dG, dC)` difference list. This is the shared
-/// skeleton of every base-plus-Woodbury corner correction — the AC sweep,
-/// the noise analysis, and the settling integration all build one per
-/// evaluation and correct against it per frequency (or, for settling,
-/// once per corner set).
+/// skeleton of every base-plus-Woodbury corner correction — the AC sweep
+/// and the settling integration both build one per evaluation and correct
+/// against it per frequency (or, for settling, once per corner set).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CornerDiff {
     /// Union of rows any corner's stamps differ on, ascending.

@@ -872,6 +872,49 @@ impl<T: Scalar> SparseLu<T> {
             }
         }
     }
+
+    /// Solves the *transposed* system `Aᵀ z = c` (plain transpose, no
+    /// conjugation) against the stored factors, with `work` as scratch.
+    /// With `P A Q = L U` this is `Uᵀ w = Qᵀ c`, then `Lᵀ v = w`, then
+    /// `z = Pᵀ v`. A column of `U` (or `L`) is a row of its transpose, so
+    /// both passes are gathers over the stored columns; step `k` lives at
+    /// slot `q[k]` of `work`, where the factors' remapped row indices
+    /// point, which makes the `Qᵀ c` permutation a plain copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c.len()` does not match the factored dimension.
+    pub fn solve_transpose_into(&self, c: &[T], z: &mut Vec<T>, work: &mut Vec<T>) {
+        let n = self.n;
+        assert_eq!(c.len(), n, "dimension mismatch");
+        work.clear();
+        work.extend_from_slice(c);
+        // Forward substitution with Uᵀ; U's diagonal is stored last in
+        // each column.
+        for j in 0..n {
+            let s = self.u_colptr[j];
+            let e = self.u_colptr[j + 1];
+            let mut acc = work[self.q[j]];
+            for pp in s..e - 1 {
+                acc -= self.u_values[pp] * work[self.u_rowidx[pp]];
+            }
+            work[self.q[j]] = acc / self.u_values[e - 1];
+        }
+        // Back substitution with Lᵀ; L's unit diagonal is stored first in
+        // each column and skipped.
+        for j in (0..n).rev() {
+            let mut acc = work[self.q[j]];
+            for pp in self.l_colptr[j] + 1..self.l_colptr[j + 1] {
+                acc -= self.l_values[pp] * work[self.l_rowidx[pp]];
+            }
+            work[self.q[j]] = acc;
+        }
+        z.clear();
+        z.resize(n, T::zero());
+        for k in 0..n {
+            z[self.p[k]] = work[self.q[k]];
+        }
+    }
 }
 
 impl<T: Scalar> LinearSolver<T> for SparseLu<T> {

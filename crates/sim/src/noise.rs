@@ -2,40 +2,30 @@
 //!
 //! Every thermal resistor and MOSFET contributes a current-noise power
 //! spectral density between its terminals. For each frequency the complex
-//! MNA system is factored once and solved per noise source (unit current
-//! injection), giving the squared transfer to the output; the weighted sum
-//! is the output noise PSD, and dividing by the squared signal gain refers
-//! it to the input.
+//! MNA system `A` is factored once; the signal gain comes from the usual
+//! forward solve, and the noise transfers from one *adjoint* solve
+//! `Aᵀ z = e_out` (Rohrer, Nagel, Meyer & Weber, "Computationally
+//! efficient electronic-circuit noise calculations", IEEE JSSC 1971 —
+//! SPICE's `.NOISE`). A unit current injected from `p` to `n` reaches
+//! the output as `e_outᵀ A⁻¹ (e_n − e_p) = z[n] − z[p]`, so every source's
+//! transfer is an O(1) lookup and a point costs one factorization plus
+//! two solves, however many sources the circuit has. The weighted sum of
+//! the squared transfers is the output noise PSD, and dividing by the
+//! squared signal gain refers it to the input.
 //!
 //! Worst-case PVT evaluations run the analysis over a *corner set* of
-//! same-structure circuits. Two batched entry points serve that shape:
-//!
-//! - [`noise_analysis_batch`] runs every corner through the scalar
-//!   [`noise_analysis_ws`] arithmetic — threaded over the
-//!   (corner × frequency) grid when the scheduler grants lanes, serial
-//!   otherwise — so per corner it is bitwise-identical to the scalar
-//!   path, making it the cold (exact) backbone of the corner engine.
-//! - [`noise_analysis_corners`] factors the **base corner once per
-//!   frequency** and recovers every sibling through the same Woodbury
-//!   correction as [`crate::ac::ac_sweep_corners`] — and, because the
-//!   corners share their injection nodes and source vector, the
-//!   per-source unit-injection base solves are computed once and shared
-//!   by the whole corner set. Exact to roundoff (the warm path's
-//!   solver-tolerance contract), and the dense-dim fast path.
+//! same-structure circuits through [`noise_analysis_batch`]: every corner
+//! runs the scalar [`noise_analysis_ws`] arithmetic — threaded over the
+//! (corner × frequency) grid when the scheduler grants lanes, serial
+//! otherwise — so per corner it is bitwise-identical to the scalar path,
+//! warm and cold alike.
 
-use crate::ac::{
-    ac_batch_ws_pool, ac_ws_pool, grid_parallelism, AcBatchWorkspace, AcSolver, AcWorkspace,
-    STOCK_DIM_MAX,
-};
+use crate::ac::{ac_ws_pool, grid_parallelism, AcBatchWorkspace, AcSolver, AcWorkspace};
 use crate::complex::Complex;
 use crate::dc::OpPoint;
 use crate::device::BOLTZMANN;
 use crate::error::SimError;
-use crate::linalg::correction::{
-    corrected_entry, factor_correction, solve_correction_basis, CornerDiff,
-};
 use crate::linalg::sparse::SolverConfig;
-use crate::linalg::ComplexLuSoa;
 use crate::measure::integrate_trapezoid;
 use crate::netlist::{Circuit, Element, Node};
 use crate::par::{run_chunks, would_parallelize, Parallelism};
@@ -160,8 +150,8 @@ fn collect_sources(ckt: &Circuit, op: &OpPoint, temp_k: f64) -> Result<Vec<Noise
     Ok(sources)
 }
 
-/// The per-frequency factor + per-source solve loop of the scalar
-/// analysis, appending one output-PSD and gain sample per grid point.
+/// The per-frequency loop of the scalar analysis, appending one
+/// output-PSD and gain sample per grid point.
 /// [`AcSolver::prepare_workspace`] must have been called for this solver.
 fn noise_points_ws(
     solver: &AcSolver<'_>,
@@ -180,12 +170,11 @@ fn noise_points_ws(
     Ok(())
 }
 
-/// One grid point of the scalar analysis: factor, gain solve, per-source
-/// unit-injection solves with the PSD accumulated in source order —
-/// the tile body shared by the serial loop and the threaded lanes (the
-/// per-source loop stays serial inside a tile, which is what keeps the
-/// accumulation order, and hence the sum, bitwise-stable under any
-/// schedule). Returns `(gain, psd)`.
+/// One grid point of the scalar analysis: factor, gain solve, one adjoint
+/// solve of the output selector, then the PSD accumulated in source order
+/// from the adjoint's per-node transfers — the tile body shared by the
+/// serial loop and the threaded lanes, so the sum is bitwise-stable under
+/// any schedule. Returns `(gain, psd)`.
 fn noise_point_ws(
     solver: &AcSolver<'_>,
     sources: &[NoiseSource],
@@ -193,29 +182,27 @@ fn noise_point_ws(
     f: f64,
     ws: &mut AcWorkspace,
 ) -> Result<(f64, f64), SimError> {
-    let ckt = solver.circuit();
-    let dim = solver.dim();
     solver.factor_at_ws(f, ws)?;
-    let AcWorkspace { lu, x, rhs, .. } = &mut *ws;
+    let AcWorkspace {
+        lu, x, rhs, work, ..
+    } = &mut *ws;
     // Signal gain.
     lu.solve_into(solver.source_rhs(), x);
     let g = solver.voltage(x, out).norm();
-    // Sum over noise sources.
-    let mut psd = 0.0;
+    // A grounded output sees no noise.
+    let Some(o) = solver.mna_index(out) else {
+        return Ok((g, 0.0));
+    };
+    // Adjoint: z = A^{-T} e_out, so a unit current from p to n inside a
+    // source reaches the output as z[n] - z[p].
     rhs.clear();
-    rhs.resize(dim, Complex::ZERO);
+    rhs.resize(solver.dim(), Complex::ZERO);
+    rhs[o] = Complex::ONE;
+    lu.solve_transpose_into(rhs, x, work);
+    let mut psd = 0.0;
     for s in sources {
-        rhs.iter_mut().for_each(|v| *v = Complex::ZERO);
-        // Unit AC current from p to n inside the source.
-        if let Some(ip) = ckt.mna_index(s.p) {
-            rhs[ip] -= Complex::ONE;
-        }
-        if let Some(in_) = ckt.mna_index(s.n) {
-            rhs[in_] += Complex::ONE;
-        }
-        lu.solve_into(rhs, x);
-        let h2 = solver.voltage(x, out).norm_sqr();
-        psd += h2 * s.psd_at(f);
+        let h = solver.voltage(x, s.n) - solver.voltage(x, s.p);
+        psd += h.norm_sqr() * s.psd_at(f);
     }
     Ok((g, psd))
 }
@@ -291,11 +278,12 @@ pub fn noise_analysis(
 }
 
 /// [`noise_analysis`] with reusable workspace buffers — no per-frequency
-/// or per-source allocation; results are identical. Each frequency point
-/// is factored once through the vectorized SoA complex kernel
-/// ([`crate::linalg::ComplexLuSoa`]) and back-substituted per noise
-/// source. Warm evaluation sessions route their noise analyses through
-/// this entry point.
+/// allocation; results are identical. Each frequency point is factored
+/// once through the vectorized SoA complex kernel
+/// ([`crate::linalg::ComplexLuSoa`]) and solved twice: forward for the
+/// gain, transposed for every noise source's transfer at once. Warm
+/// evaluation sessions route their noise analyses through this entry
+/// point.
 ///
 /// # Errors
 ///
@@ -312,8 +300,8 @@ pub fn noise_analysis_ws(
 }
 
 /// [`noise_analysis_ws`] with an explicit linear-solver backend policy:
-/// the per-frequency factorization and every per-source back-substitution
-/// run dense or sparse per `cfg` (identical results within solver
+/// the per-frequency factorization and its gain and adjoint solves run
+/// dense or sparse per `cfg` (identical results within solver
 /// tolerance). This is how the sizing topologies thread their
 /// [`SolverConfig`] into the serial noise path.
 ///
@@ -346,7 +334,7 @@ pub fn noise_analysis_cfg(
 
 /// Threaded scalar noise sweep: every frequency factors and solves into
 /// its own slot through a per-lane pooled workspace, exactly the
-/// per-point arithmetic of [`noise_points_ws`] (each point's per-source
+/// per-point arithmetic of [`noise_points_ws`] (each point's source-order
 /// accumulation stays serial inside its tile), so the result is
 /// bitwise-equal to the serial walk under any schedule. The in-order
 /// drain recovers the serial path's first-failing-frequency abort.
@@ -384,11 +372,9 @@ fn noise_points_par(
     Ok((out_psd, gain))
 }
 
-/// Per-corner scalar reference path of the batched analyses: each corner
-/// runs the exact [`noise_analysis_ws`] pipeline (same kernel, same
-/// order) through the batch workspace's scalar buffers. This is the
-/// serial cold route and the corrected path's fallback for structural
-/// mismatches and stock dims — bitwise-equal to calling
+/// Serial route of [`noise_analysis_batch`]: each corner runs the exact
+/// [`noise_analysis_ws`] pipeline (same kernel, same order) through the
+/// batch workspace's scalar buffers — bitwise-equal to calling
 /// [`noise_analysis_ws`] per corner.
 fn scalar_noise_ws(
     solvers: &[AcSolver<'_>],
@@ -421,31 +407,10 @@ fn scalar_noise_ws(
         .collect()
 }
 
-/// Collects each corner's noise sources, or `None` when any corner fails
-/// or the corner lists disagree in length (the corrected path needs one
-/// source index space across the batch) — callers then
-/// route through the scalar path, which reports per-corner failures
-/// individually.
-fn collect_corner_sources(
-    solvers: &[AcSolver<'_>],
-    ops: &[&OpPoint],
-    temps: &[f64],
-) -> Option<Vec<Vec<NoiseSource>>> {
-    let mut all = Vec::with_capacity(solvers.len());
-    for ((s, op), &t) in solvers.iter().zip(ops).zip(temps) {
-        all.push(collect_sources(s.circuit(), op, t).ok()?);
-    }
-    let n_src = all[0].len();
-    if all.iter().any(|s| s.len() != n_src) {
-        return None;
-    }
-    Some(all)
-}
-
-/// Cold corner-batched noise analysis: every corner runs the exact
+/// Corner-batched noise analysis: every corner runs the exact
 /// [`noise_analysis_ws`] arithmetic, so per-corner results are
-/// **bitwise-equal** to the serial path — the cold (exact) backbone of
-/// the corner evaluation engine.
+/// **bitwise-equal** to the serial path — the noise stage of the corner
+/// evaluation engine, warm and cold.
 ///
 /// When the scheduler grants lanes (see [`crate::par`]) the
 /// (corner × frequency) grid is threaded, one scalar point per tile;
@@ -454,12 +419,9 @@ fn collect_corner_sources(
 /// reference, so the dispatch is pure performance policy. Failures are
 /// per corner: a corner reports the error of its first failing frequency
 /// (or of its noise-source collection) without disturbing its siblings.
-/// A degenerate frequency grid returns [`SimError::InvalidOptions`] for
-/// every corner.
-///
-/// # Panics
-///
-/// Panics unless `solvers`, `ops`, `outs`, and `temps` have equal length.
+/// A degenerate frequency grid, or `ops`, `outs`, or `temps` of a
+/// different length than `solvers`, returns [`SimError::InvalidOptions`]
+/// for every corner.
 pub fn noise_analysis_batch(
     solvers: &[AcSolver<'_>],
     ops: &[&OpPoint],
@@ -468,15 +430,19 @@ pub fn noise_analysis_batch(
     temps: &[f64],
     ws: &mut AcBatchWorkspace,
 ) -> Vec<Result<NoiseResult, SimError>> {
-    assert_eq!(solvers.len(), ops.len(), "one operating point per corner");
-    assert_eq!(solvers.len(), outs.len(), "one output node per corner");
-    assert_eq!(solvers.len(), temps.len(), "one temperature per corner");
     let bt = solvers.len();
+    let checked = if ops.len() != bt || outs.len() != bt || temps.len() != bt {
+        Err(SimError::InvalidOptions {
+            what: "noise batch needs one operating point, output node and temperature per corner",
+        })
+    } else {
+        validate_freqs(freqs)
+    };
+    if let Err(e) = checked {
+        return (0..bt).map(|_| Err(e.clone())).collect();
+    }
     if bt == 0 {
         return Vec::new();
-    }
-    if let Err(e) = validate_freqs(freqs) {
-        return (0..bt).map(|_| Err(e.clone())).collect();
     }
     let par = grid_parallelism(solvers);
     if would_parallelize(par, bt * freqs.len()) {
@@ -485,7 +451,7 @@ pub fn noise_analysis_batch(
     scalar_noise_ws(solvers, ops, outs, freqs, temps, ws)
 }
 
-/// Threaded cold corner analysis: the (corner × frequency) grid is
+/// Threaded corner analysis: the (corner × frequency) grid is
 /// flattened into tiles (`tile = corner * nf + freq`), each running the
 /// full scalar point into its own slot through a per-lane pooled
 /// workspace; a lane crossing a corner boundary re-prepares its workspace
@@ -550,397 +516,6 @@ fn threaded_grid_noise(
             finalize(freqs, out_psd, gain)
         })
         .collect()
-}
-
-/// Factors corner `b`'s full system at one frequency into the spare
-/// buffer and runs the full scalar point (gain + per-source solves) — the
-/// per-point fallback of [`noise_analysis_corners`] when the base factor
-/// or a correction system is singular. Matches the scalar path's
-/// arithmetic exactly at that point.
-#[allow(clippy::too_many_arguments)]
-fn direct_noise_point(
-    spare: &mut ComplexLuSoa,
-    unit: &mut Vec<Complex>,
-    xcol: &mut Vec<Complex>,
-    pat: &[(usize, usize, f64, f64)],
-    n: usize,
-    w_ang: f64,
-    rhs0: &[Complex],
-    o: Option<usize>,
-    sources_b: &[NoiseSource],
-    inj: &[(Option<usize>, Option<usize>)],
-    fq: f64,
-) -> Result<(f64, f64), SimError> {
-    spare.refactor_with(n, 1e-300, |re, im| {
-        for &(r, c, g, cc) in pat {
-            re[r * n + c] = g;
-            im[r * n + c] = w_ang * cc;
-        }
-    })?;
-    spare.solve_into(rhs0, xcol);
-    let g = o.map_or(0.0, |i| xcol[i].norm());
-    let mut psd = 0.0;
-    for (s, &(ip, in_)) in sources_b.iter().zip(inj) {
-        unit.clear();
-        unit.resize(n, Complex::ZERO);
-        if let Some(ip) = ip {
-            unit[ip] -= Complex::ONE;
-        }
-        if let Some(in_) = in_ {
-            unit[in_] += Complex::ONE;
-        }
-        spare.solve_into(unit, xcol);
-        let h2 = o.map_or(0.0, |i| xcol[i].norm_sqr());
-        psd += h2 * s.psd_at(fq);
-    }
-    Ok((g, psd))
-}
-
-/// Corner-**corrected** noise analysis: the fast path of the warm batched
-/// corner engine. PVT corner systems differ only in their device stamps —
-/// the parasitic mesh, passives, sources, and regularization are shared —
-/// so per frequency this factors the base corner once, computes the
-/// Woodbury correction basis `W = A0^{-1} P_R` over the difference
-/// support `R`, and solves the shared source vector **and every noise
-/// source's unit injection once against the base factor**; each sibling
-/// corner then recovers its gain and per-source transfers through an
-/// `|R| x |R|` solve per right-hand side instead of a full
-/// factorization + back-substitution. Per frequency that is
-/// `1` factorization + `(1 + S + |R|)` back-substitutions +
-/// `B` small factors, instead of the serial path's `B` factorizations +
-/// `B (1 + S)` back-substitutions.
-///
-/// The correction is algebraically exact; in floating point it agrees
-/// with the direct per-corner analysis to roundoff — inside the warm
-/// evaluation path's solver-tolerance contract. The *cold* (bitwise)
-/// path is [`noise_analysis_batch`]. Falls back to the scalar per-corner
-/// path at stock dims (`n <= 16`), on structural mismatch (dims, source
-/// lists, injection nodes, source vectors), or when the difference
-/// support is too wide to pay; falls back to direct per-corner
-/// factorization at any frequency where the base factor or a correction
-/// system is singular.
-///
-/// # Panics
-///
-/// Panics unless `solvers`, `ops`, `outs`, and `temps` have equal length.
-pub fn noise_analysis_corners(
-    solvers: &[AcSolver<'_>],
-    ops: &[&OpPoint],
-    outs: &[Node],
-    freqs: &[f64],
-    temps: &[f64],
-    ws: &mut AcBatchWorkspace,
-) -> Vec<Result<NoiseResult, SimError>> {
-    assert_eq!(solvers.len(), ops.len(), "one operating point per corner");
-    assert_eq!(solvers.len(), outs.len(), "one output node per corner");
-    assert_eq!(solvers.len(), temps.len(), "one temperature per corner");
-    let bt = solvers.len();
-    if bt == 0 {
-        return Vec::new();
-    }
-    if let Err(e) = validate_freqs(freqs) {
-        return (0..bt).map(|_| Err(e.clone())).collect();
-    }
-    let n = solvers[0].dim();
-    if bt == 1
-        || solvers.iter().any(|s| s.dim() != n)
-        || n <= STOCK_DIM_MAX
-        || solvers.iter().any(|s| s.config().use_sparse(s.dim()))
-    {
-        // At stock extraction dims the difference support spans most of
-        // the system, so the correction cannot pay — run the scalar
-        // per-corner analysis (the warm serial path's exact arithmetic).
-        // Sparse-routed dims also run scalar: the Woodbury correction
-        // machinery (dense base factor and basis) assumes the dense
-        // kernel, while the scalar path dispatches per backend.
-        return scalar_noise_ws(solvers, ops, outs, freqs, temps, ws);
-    }
-    let rhs0 = solvers[0].source_rhs();
-    if solvers.iter().any(|s| s.source_rhs() != rhs0) {
-        return scalar_noise_ws(solvers, ops, outs, freqs, temps, ws);
-    }
-    let Some(sources) = collect_corner_sources(solvers, ops, temps) else {
-        return scalar_noise_ws(solvers, ops, outs, freqs, temps, ws);
-    };
-    // Shared base solves need shared injection nodes; corner sets always
-    // satisfy this (same netlist structure), so this is a safety valve.
-    if sources[1..].iter().any(|srcs| {
-        srcs.iter()
-            .zip(&sources[0])
-            .any(|(a, b)| a.p != b.p || a.n != b.n)
-    }) {
-        return scalar_noise_ws(solvers, ops, outs, freqs, temps, ws);
-    }
-    let inj: Vec<(Option<usize>, Option<usize>)> = sources[0]
-        .iter()
-        .map(|s| {
-            (
-                solvers[0].circuit().mna_index(s.p),
-                solvers[0].circuit().mna_index(s.n),
-            )
-        })
-        .collect();
-
-    ws.patterns.resize(bt, Vec::new());
-    for (pat, s) in ws.patterns.iter_mut().zip(solvers) {
-        s.collect_pattern(pat);
-    }
-    let cd = CornerDiff::from_patterns(&ws.patterns, n);
-    if !cd.profitable(n) {
-        return scalar_noise_ws(solvers, ops, outs, freqs, temps, ws);
-    }
-    let rn = cd.support();
-
-    let oi: Vec<Option<usize>> = solvers
-        .iter()
-        .zip(outs)
-        .map(|(s, &o)| s.mna_index(o))
-        .collect();
-    // Every frequency's full corner row is an independent tile, exactly
-    // as in [`crate::ac::ac_sweep_corners`]: the base factor, correction
-    // basis, shared per-source base solves, and per-corner recoveries at
-    // one `fq` read nothing a sibling frequency wrote, so the serial walk
-    // and the threaded schedule run the exact same row body. Values a
-    // corner computes past its first failing frequency are discarded by
-    // the in-order assembly, matching the serial abort contract.
-    let patterns = std::mem::take(&mut ws.patterns);
-    let mut rows: Vec<Vec<Result<(f64, f64), SimError>>> = (0..freqs.len())
-        .map(|_| (0..bt).map(|_| Ok((0.0, 0.0))).collect())
-        .collect();
-    let par = grid_parallelism(solvers);
-    if would_parallelize(par, freqs.len()) {
-        run_chunks(
-            par,
-            &mut rows,
-            ac_batch_ws_pool(),
-            AcBatchWorkspace::new,
-            |off, chunk, lane| {
-                let mut u = vec![Complex::ZERO; rn];
-                let mut z = Vec::new();
-                for (k, row) in chunk.iter_mut().enumerate() {
-                    corrected_noise_row(
-                        &patterns[..bt],
-                        &cd,
-                        rn,
-                        n,
-                        rhs0,
-                        &oi,
-                        &sources,
-                        &inj,
-                        freqs[off + k],
-                        lane,
-                        &mut u,
-                        &mut z,
-                        row,
-                    );
-                }
-            },
-        );
-    } else {
-        let mut u = vec![Complex::ZERO; rn];
-        let mut z = Vec::new();
-        for (i, row) in rows.iter_mut().enumerate() {
-            corrected_noise_row(
-                &patterns[..bt],
-                &cd,
-                rn,
-                n,
-                rhs0,
-                &oi,
-                &sources,
-                &inj,
-                freqs[i],
-                ws,
-                &mut u,
-                &mut z,
-                row,
-            );
-        }
-    }
-    ws.patterns = patterns;
-    (0..bt)
-        .map(|b| {
-            let mut out_psd = Vec::with_capacity(freqs.len());
-            let mut gain = Vec::with_capacity(freqs.len());
-            for row in &rows {
-                match &row[b] {
-                    Ok((g, p)) => {
-                        gain.push(*g);
-                        out_psd.push(*p);
-                    }
-                    Err(e) => return Err(e.clone()),
-                }
-            }
-            finalize(freqs, out_psd, gain)
-        })
-        .collect()
-}
-
-/// One frequency tile of the corrected noise analysis: base factor +
-/// shared correction basis + per-source base solves + per-corner Woodbury
-/// recoveries, writing every corner's `(gain, psd)` (or error) into
-/// `row`. Identical arithmetic whether called from the serial loop
-/// (caller workspace) or a threaded lane (pooled workspace): the dense
-/// refactor is a full restamp, so the workspace carries no
-/// cross-frequency history.
-#[allow(clippy::too_many_arguments)]
-fn corrected_noise_row(
-    patterns: &[Vec<(usize, usize, f64, f64)>],
-    cd: &CornerDiff,
-    rn: usize,
-    n: usize,
-    rhs0: &[Complex],
-    oi: &[Option<usize>],
-    sources: &[Vec<NoiseSource>],
-    inj: &[(Option<usize>, Option<usize>)],
-    fq: f64,
-    ws: &mut AcBatchWorkspace,
-    u: &mut Vec<Complex>,
-    z: &mut Vec<Complex>,
-    row: &mut [Result<(f64, f64), SimError>],
-) {
-    let w_ang = 2.0 * std::f64::consts::PI * fq;
-    let base_ok = ws
-        .base
-        .refactor_with(n, 1e-300, |re, im| {
-            for &(r, c, g, cc) in &patterns[0] {
-                re[r * n + c] = g;
-                im[r * n + c] = w_ang * cc;
-            }
-        })
-        .is_ok();
-    if !base_ok {
-        // Base corner singular at this point: run every corner through
-        // the direct scalar point instead.
-        for (b, slot) in row.iter_mut().enumerate() {
-            let AcBatchWorkspace {
-                spare, unit, xcol, ..
-            } = &mut *ws;
-            *slot = direct_noise_point(
-                spare,
-                unit,
-                xcol,
-                &patterns[b],
-                n,
-                w_ang,
-                rhs0,
-                oi[b],
-                &sources[b],
-                inj,
-                fq,
-            );
-        }
-        return;
-    }
-    ws.base.solve_into(rhs0, &mut ws.y0);
-    {
-        let AcBatchWorkspace {
-            base,
-            unit,
-            xcol,
-            wflat,
-            ..
-        } = &mut *ws;
-        solve_correction_basis(&*base, &cd.rows, n, unit, xcol, wflat);
-    }
-    // Per-source base solves, computed once and shared by the whole
-    // corner set — the structural win of the corrected analysis.
-    ws.ys.clear();
-    for &(ip, in_) in inj {
-        let AcBatchWorkspace {
-            base,
-            unit,
-            xcol,
-            ys,
-            ..
-        } = &mut *ws;
-        unit.clear();
-        unit.resize(n, Complex::ZERO);
-        if let Some(ip) = ip {
-            unit[ip] -= Complex::ONE;
-        }
-        if let Some(in_) = in_ {
-            unit[in_] += Complex::ONE;
-        }
-        base.solve_into(unit, xcol);
-        ys.extend_from_slice(xcol);
-    }
-    for (b, slot) in row.iter_mut().enumerate() {
-        let diff = &cd.diffs[b];
-        if diff.is_empty() {
-            // Corner identical to the base: its solves *are* the base
-            // solves.
-            let g = oi[b].map_or(0.0, |i| ws.y0[i].norm());
-            let mut p = 0.0;
-            for (s, src) in sources[b].iter().enumerate() {
-                let h2 = oi[b].map_or(0.0, |i| ws.ys[s * n + i].norm_sqr());
-                p += h2 * src.psd_at(fq);
-            }
-            *slot = Ok((g, p));
-            continue;
-        }
-        let ok = factor_correction(
-            &mut ws.small,
-            diff,
-            &cd.row_pos,
-            rn,
-            n,
-            |dg, dc| Complex::new(dg, w_ang * dc),
-            &ws.wflat,
-        )
-        .is_ok();
-        if !ok {
-            let AcBatchWorkspace {
-                spare, unit, xcol, ..
-            } = &mut *ws;
-            *slot = direct_noise_point(
-                spare,
-                unit,
-                xcol,
-                &patterns[b],
-                n,
-                w_ang,
-                rhs0,
-                oi[b],
-                &sources[b],
-                inj,
-                fq,
-            );
-            continue;
-        }
-        let g = corrected_entry(
-            &ws.small,
-            diff,
-            &cd.row_pos,
-            &ws.wflat,
-            &ws.y0,
-            oi[b],
-            |dg, dc| Complex::new(dg, w_ang * dc),
-            n,
-            rn,
-            u,
-            z,
-        )
-        .norm();
-        let mut p = 0.0;
-        for (s, src) in sources[b].iter().enumerate() {
-            let h = corrected_entry(
-                &ws.small,
-                diff,
-                &cd.row_pos,
-                &ws.wflat,
-                &ws.ys[s * n..(s + 1) * n],
-                oi[b],
-                |dg, dc| Complex::new(dg, w_ang * dc),
-                n,
-                rn,
-                u,
-                z,
-            );
-            p += h.norm_sqr() * src.psd_at(fq);
-        }
-        *slot = Ok((g, p));
-    }
 }
 
 #[cfg(test)]
@@ -1189,5 +764,36 @@ mod tests {
         }
         // A valid grid still passes.
         assert!(noise_analysis(&ckt, &op, o, &[1e3, 1e4, 1e5], 300.0).is_ok());
+    }
+
+    /// Per-corner inputs of the wrong length are an error for every
+    /// corner, not a panic.
+    #[test]
+    fn mismatched_batch_lengths_are_invalid_options() {
+        let mut ckt = Circuit::new();
+        let i = ckt.node("in");
+        let o = ckt.node("out");
+        ckt.vsource(i, GND, 0.0, 1.0);
+        ckt.resistor(i, o, 1e3);
+        ckt.capacitor(o, GND, 1e-12);
+        let op = dc_operating_point(&ckt, &DcOptions::default()).unwrap();
+        let solvers = [AcSolver::new(&ckt, &op), AcSolver::new(&ckt, &op)];
+        let freqs = log_freqs(1e3, 1e6, 4);
+        let mut ws = AcBatchWorkspace::new();
+        let cases: [(&[&OpPoint], &[Node], &[f64]); 3] = [
+            (&[&op], &[o, o], &[300.0, 300.0]),
+            (&[&op, &op], &[o], &[300.0, 300.0]),
+            (&[&op, &op], &[o, o], &[300.0, 300.0, 300.0]),
+        ];
+        for (ops, outs, temps) in cases {
+            let r = noise_analysis_batch(&solvers, ops, outs, &freqs, temps, &mut ws);
+            assert_eq!(r.len(), 2);
+            for c in &r {
+                assert!(matches!(c, Err(SimError::InvalidOptions { .. })), "{c:?}");
+            }
+        }
+        // Matching lengths still run.
+        let r = noise_analysis_batch(&solvers, &[&op, &op], &[o, o], &freqs, &[300.0; 2], &mut ws);
+        assert!(r.iter().all(Result::is_ok));
     }
 }

@@ -1,12 +1,14 @@
 //! Property-based tests for the sparse (CSC + AMD + left-looking LU)
 //! backend: it must agree with the dense reference kernels on any
 //! well-conditioned system, its `refactor` fast path must be bitwise
-//! equal to a fresh factorization, and the AMD ordering must be a valid
-//! permutation that never *increases* fill on mesh-structured patterns.
+//! equal to a fresh factorization, its transposed solve must invert the
+//! transpose, and the AMD ordering must be a valid permutation that never
+//! *increases* fill on mesh-structured patterns.
 
+use autockt_sim::complex::Complex;
 use autockt_sim::dc::{dc_operating_point, DcOptions};
 use autockt_sim::linalg::sparse::{amd_order, CscMatrix, SparseLu, TripletList};
-use autockt_sim::linalg::{LuFactors, Matrix};
+use autockt_sim::linalg::{LuFactors, Matrix, Scalar};
 use autockt_sim::netlist::{Circuit, GND};
 use autockt_sim::{SolverBackend, SolverConfig};
 use proptest::prelude::*;
@@ -66,6 +68,91 @@ fn mesh_dominant(k: usize, entries: &[f64]) -> Matrix<f64> {
         m[(i, i)] = rowsum + 1.0;
     }
     m
+}
+
+/// A nonsymmetric `k x k` grid system with fill under elimination: the
+/// grid Laplacian's pattern, different couplings in the two directions of
+/// each edge, an imaginary part scaled by `im_scale` (0 gives a
+/// real-valued system), and rows shuffled by `keys` so the factorization
+/// has to pivot off the diagonal.
+fn shuffled_mesh(k: usize, entries: &[f64], keys: &[f64], im_scale: f64) -> Matrix<Complex> {
+    let n = k * k;
+    let mut m = Matrix::<Complex>::zeros(n, n);
+    let mut e = 0;
+    let mut val = || {
+        let v = entries[e % entries.len()];
+        e += 1;
+        Complex::new(-0.1 - v.abs().clamp(0.0, 10.0), im_scale * v)
+    };
+    for r in 0..k {
+        for c in 0..k {
+            let i = r * k + c;
+            let right = (c + 1 < k).then_some(i + 1);
+            let down = (r + 1 < k).then_some(i + k);
+            for j in right.into_iter().chain(down) {
+                m[(i, j)] = val();
+                m[(j, i)] = val();
+            }
+        }
+    }
+    for i in 0..n {
+        let rowsum: f64 = (0..n).filter(|&c| c != i).map(|c| m[(i, c)].norm()).sum();
+        m[(i, i)] = Complex::new(rowsum + 1.0, im_scale);
+    }
+    let mut rows: Vec<usize> = (0..n).collect();
+    rows.sort_by(|&a, &b| keys[a].total_cmp(&keys[b]));
+    let mut out = Matrix::zeros(n, n);
+    for (r, &src) in rows.iter().enumerate() {
+        for c in 0..n {
+            out[(r, c)] = m[(src, c)];
+        }
+    }
+    out
+}
+
+fn transpose<T: Scalar>(m: &Matrix<T>) -> Matrix<T> {
+    let n = m.rows();
+    let mut t = Matrix::zeros(n, n);
+    for r in 0..n {
+        for c in 0..n {
+            t[(c, r)] = m[(r, c)];
+        }
+    }
+    t
+}
+
+/// Max-norm of `a - b` relative to the max-norm of `b`.
+fn rel_diff<T: Scalar>(a: &[T], b: &[T]) -> f64 {
+    let scale = b.iter().map(|v| v.abs()).fold(0.0f64, f64::max);
+    let diff = a
+        .iter()
+        .zip(b)
+        .map(|(x, y)| (*x - *y).abs())
+        .fold(0.0f64, f64::max);
+    diff / scale.max(f64::MIN_POSITIVE)
+}
+
+/// Transposed sparse solve of `a` against `c`: residual at roundoff and
+/// agreement with a forward sparse solve of the explicit transpose.
+fn check_transpose_solve<T: Scalar>(a: &Matrix<T>, c: &[T]) -> Result<(), String> {
+    let at = transpose(a);
+    let lu = SparseLu::factor(&CscMatrix::from_dense(a), 1e-300).map_err(|e| e.to_string())?;
+    let (mut z, mut work) = (Vec::new(), Vec::new());
+    lu.solve_transpose_into(c, &mut z, &mut work);
+    let residual = rel_diff(&at.mul_vec(&z), c);
+    if residual >= 1e-12 {
+        return Err(format!("residual {residual:e}"));
+    }
+    let direct = SparseLu::factor(&CscMatrix::from_dense(&at), 1e-300)
+        .map_err(|e| e.to_string())?
+        .solve(c);
+    let diff = rel_diff(&z, &direct);
+    if diff >= 1e-12 {
+        return Err(format!(
+            "transposed vs explicit transpose differ by {diff:e}"
+        ));
+    }
+    Ok(())
 }
 
 /// An `n`-segment RC ladder driven by a voltage source: MNA dimension
@@ -211,6 +298,37 @@ proptest! {
                 prop_assert!((g - d).abs() <= 1e-12 * (1.0 + d.abs()), "{g} vs {d}");
             }
         }
+    }
+
+    /// `solve_transpose_into` solves `Aᵀ z = c` (no conjugation) on
+    /// shuffled nonsymmetric grid systems whose factors fill in, real and
+    /// complex.
+    #[test]
+    fn sparse_transpose_solve_matches_explicit_transpose(
+        k in 2usize..7,
+        entries in prop::collection::vec(-10.0..10.0f64, 64),
+        keys in prop::collection::vec(0.0..1.0f64, 36),
+        cre in prop::collection::vec(-10.0..10.0f64, 36),
+        cim in prop::collection::vec(-10.0..10.0f64, 36),
+    ) {
+        let n = k * k;
+        let a = shuffled_mesh(k, &entries, &keys[..n], 1.0);
+        let c: Vec<Complex> = cre[..n]
+            .iter()
+            .zip(&cim[..n])
+            .map(|(&r, &i)| Complex::new(r, i))
+            .collect();
+        let r = check_transpose_solve(&a, &c);
+        prop_assert!(r.is_ok(), "complex: {}", r.unwrap_err());
+        let real = shuffled_mesh(k, &entries, &keys[..n], 0.0);
+        let mut a_re: Matrix<f64> = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..n {
+                a_re[(i, j)] = real[(i, j)].re;
+            }
+        }
+        let r = check_transpose_solve(&a_re, &cre[..n]);
+        prop_assert!(r.is_ok(), "real: {}", r.unwrap_err());
     }
 
     /// The Auto backend dispatches bitwise-identically to whichever
