@@ -12,14 +12,14 @@
 //! constraints) and bias current (minimized, the power proxy).
 
 use crate::problem::{
-    CornerCase, CornerEvaluator, CornerPlan, CornerStrategy, ParamSpec, SimMode, SizingProblem,
-    SpecDef, SpecKind,
+    check_indices, mode_case, CornerEvaluator, CornerPlan, CornerStrategy, CornerView, ParamSpec,
+    SimMode, SizingProblem, SpecDef, SpecKind,
 };
-use autockt_sim::ac::{ac_sweep_cfg, log_freqs, AcResponse, AcWorkspace};
-use autockt_sim::dc::{dc_operating_point, DcOptions, OpPoint, WarmState};
+use autockt_sim::ac::log_freqs;
+use autockt_sim::dc::{DcOptions, WarmState};
 use autockt_sim::device::{MosPolarity, Technology};
 use autockt_sim::netlist::{Circuit, Mosfet, Node, GND};
-use autockt_sim::pex::{extract, PexConfig};
+use autockt_sim::pex::PexConfig;
 use autockt_sim::{SimError, SolverConfig};
 
 /// Index constants into the op-amp spec vector.
@@ -155,6 +155,11 @@ impl OpAmp2 {
     /// Builds the netlist at grid indices `idx`. Returns the circuit, the
     /// output node, and the index of the supply source (for bias-current
     /// measurement).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `idx` holds one in-range index per parameter
+    /// (`simulate` checks this first and reports it as an error).
     pub fn build(&self, idx: &[usize], tech: &Technology) -> (Circuit, Node, usize) {
         assert_eq!(idx.len(), self.params.len(), "wrong parameter count");
         let w_in = self.params[0].values[idx[0]];
@@ -208,8 +213,7 @@ impl OpAmp2 {
         (ckt, out, 0)
     }
 
-    /// The AC sweep grid shared by every fidelity's measurement (the
-    /// corner engine and `measure_at` must sweep the same points).
+    /// The AC sweep grid of every fidelity.
     fn ac_freqs() -> Vec<f64> {
         log_freqs(1e2, 1e10, 10)
     }
@@ -222,105 +226,39 @@ impl OpAmp2 {
         }
     }
 
-    fn measure(&self, ckt: &Circuit, out: Node, vdd_src: usize) -> Result<Vec<f64>, SimError> {
-        let op = dc_operating_point(ckt, &self.dc_opts())?;
-        self.measure_at(ckt, out, vdd_src, &op, None)
-    }
-
-    fn measure_warm(
-        &self,
-        ckt: &Circuit,
-        out: Node,
-        vdd_src: usize,
-        slot: usize,
-        state: &mut WarmState,
-    ) -> Result<Vec<f64>, SimError> {
-        let op = state.solve(slot, ckt, &self.dc_opts())?;
-        self.measure_at(ckt, out, vdd_src, &op, Some(state.ac_workspace()))
-    }
-
     /// Shared body of `simulate`/`simulate_warm`: `state` selects the
-    /// warm (session-threaded) or cold measurement path.
+    /// warm (session-threaded) or cold measurement path; `Schematic` and
+    /// `Pex` are a one-corner plan of the corner engine.
     fn simulate_inner(
         &self,
         idx: &[usize],
         mode: SimMode,
         state: Option<&mut WarmState>,
     ) -> Result<Vec<f64>, SimError> {
-        let measure = |ckt: &Circuit, out, vs, slot, state: Option<&mut WarmState>| match state {
-            Some(st) => self.measure_warm(ckt, out, vs, slot, st),
-            None => self.measure(ckt, out, vs),
-        };
-        match mode {
-            SimMode::Schematic => {
-                let (ckt, out, vs) = self.build(idx, &self.tech);
-                measure(&ckt, out, vs, 0, state)
-            }
-            SimMode::Pex => {
-                let (ckt, out, vs) = self.build(idx, &self.tech);
-                let ex = extract(&ckt, &self.pex);
-                measure(&ex, out, vs, 0, state)
-            }
-            SimMode::PexWorstCase => {
-                let engine = CornerEvaluator::new(
-                    CornerPlan::pvt_worst_case(),
-                    self.dc_opts(),
-                    OpAmp2::ac_freqs(),
-                    self.corner_strategy,
-                );
-                engine.evaluate(
-                    &self.specs,
-                    |_slot, pvt| {
-                        let tech = self.tech.at_corner(*pvt);
-                        let (ckt, out, vs) = self.build(idx, &tech);
-                        CornerCase {
-                            ckt: extract(&ckt, &self.pex),
-                            out,
-                            temp_k: pvt.temp_kelvin(),
-                            vdd_src: vs,
-                        }
-                    },
-                    |_slot, case, op, _solver, resp, _ws, _noise, _settle| {
-                        self.corner_specs(op, case.vdd_src, resp)
-                    },
-                    state,
-                )
-            }
-        }
+        check_indices(&self.params, idx)?;
+        let engine = CornerEvaluator::new(
+            CornerPlan::for_mode(mode),
+            self.dc_opts(),
+            OpAmp2::ac_freqs(),
+            self.corner_strategy,
+        );
+        engine.evaluate(
+            &self.specs,
+            |_slot, pvt| {
+                mode_case(mode, &self.tech, &self.pex, pvt, |tech| {
+                    self.build(idx, tech)
+                })
+            },
+            |v| Ok(self.corner_specs(v)),
+            state,
+        )
     }
 
-    fn measure_at(
-        &self,
-        ckt: &Circuit,
-        out: Node,
-        vdd_src: usize,
-        op: &OpPoint,
-        ac_ws: Option<&mut AcWorkspace>,
-    ) -> Result<Vec<f64>, SimError> {
-        let freqs = OpAmp2::ac_freqs();
-        let resp = match ac_ws {
-            Some(ws) => ac_sweep_cfg(ckt, op, &freqs, out, self.solver, ws)?,
-            None => ac_sweep_cfg(
-                ckt,
-                op,
-                &freqs,
-                out,
-                self.solver,
-                &mut AcWorkspace::default(),
-            )?,
-        };
-        self.corner_specs(op, vdd_src, &resp)
-    }
-
-    /// Spec extraction shared by the single-corner measurement and the
-    /// corner engine.
-    fn corner_specs(
-        &self,
-        op: &OpPoint,
-        vdd_src: usize,
-        resp: &AcResponse,
-    ) -> Result<Vec<f64>, SimError> {
-        let ibias = op.vsource_current(vdd_src).abs();
+    /// One corner's specs: gain, unity-gain bandwidth and phase margin
+    /// from the swept response, bias current from the supply source.
+    fn corner_specs(&self, v: &CornerView<'_>) -> Vec<f64> {
+        let ibias = v.op.vsource_current(v.case.vdd_src).abs();
+        let resp = v.resp;
         let gain = resp.dc_gain();
         let ugbw = resp
             .ugbw()
@@ -328,7 +266,7 @@ impl OpAmp2 {
         let pm = resp
             .phase_margin_deg()
             .unwrap_or(self.specs[spec_index::PM].fail_value);
-        Ok(vec![gain, ugbw, pm, ibias])
+        vec![gain, ugbw, pm, ibias]
     }
 }
 
@@ -390,6 +328,30 @@ mod tests {
 
     fn mid(problem: &OpAmp2) -> Vec<usize> {
         problem.cardinalities().iter().map(|k| k / 2).collect()
+    }
+
+    /// A wrong index count or an out-of-range index is an options error
+    /// from both `simulate` and `simulate_warm`, in every mode — never a
+    /// panic in the netlist builder.
+    #[test]
+    fn bad_indices_are_invalid_options() {
+        let p = OpAmp2::default();
+        let cards = p.cardinalities();
+        let mut past_end: Vec<usize> = cards.iter().map(|k| k / 2).collect();
+        past_end[1] = cards[1];
+        let short = vec![0; cards.len() - 1];
+        for idx in [vec![], short, past_end] {
+            for mode in [SimMode::Schematic, SimMode::Pex, SimMode::PexWorstCase] {
+                let cold = p.simulate(&idx, mode);
+                let warm = p.simulate_warm(&idx, mode, &mut WarmState::new());
+                for r in [cold, warm] {
+                    assert!(
+                        matches!(r, Err(SimError::InvalidOptions { .. })),
+                        "{idx:?} {mode:?}: {r:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,10 +10,13 @@
 use autockt_sim::ac::{
     ac_sweep_batch_solvers, ac_sweep_corners, AcBatchWorkspace, AcResponse, AcSolver, AcWorkspace,
 };
-use autockt_sim::dc::{dc_operating_point_batch, DcBatchWorkspace, DcOptions, OpPoint, WarmState};
-use autockt_sim::device::Pvt;
+use autockt_sim::dc::{
+    dc_operating_point, dc_operating_point_batch, DcBatchWorkspace, DcOptions, OpPoint, WarmState,
+};
+use autockt_sim::device::{Pvt, Technology};
 use autockt_sim::netlist::{Circuit, Node};
 use autockt_sim::noise::{noise_analysis_batch, noise_analysis_cfg, NoiseResult};
+use autockt_sim::pex::{extract, PexConfig};
 use autockt_sim::tran::step_response_corners;
 use autockt_sim::{Parallelism, SimError, SolverConfig};
 use std::collections::{HashMap, VecDeque};
@@ -102,18 +105,18 @@ pub enum SimMode {
     PexWorstCase,
 }
 
-/// How a worst-case evaluation iterates its corner set.
+/// How a corner evaluation picks its kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CornerStrategy {
     /// One corner at a time through the scalar kernels — the reference
-    /// path (and the pre-batching behaviour), kept for benchmarking and
-    /// equivalence testing.
+    /// path, kept for benchmarking and equivalence testing.
     Serial,
     /// All corners solved in lockstep through the batched DC Newton and
-    /// AC sweep kernels (`dc_operating_point_batch` / `ac_sweep_batch`),
-    /// with per-corner convergence masks and scalar fallback for
-    /// stubborn corners. With warm-start off this is bitwise-identical
-    /// to [`CornerStrategy::Serial`] (property-tested per topology).
+    /// AC sweep kernels (`dc_operating_point_batch` /
+    /// `ac_sweep_batch_solvers`), with per-corner convergence masks and
+    /// scalar fallback for stubborn corners. With warm-start off this is
+    /// bitwise-identical to [`CornerStrategy::Serial`] (property-tested
+    /// per topology). A one-corner plan runs the scalar kernels either way.
     #[default]
     Batched,
 }
@@ -140,19 +143,8 @@ pub struct SettleSpec {
 /// integration hit.
 pub type SettleRecord = Result<(Vec<f64>, Vec<f64>), SimError>;
 
-/// How a settle stage integrates its corner records.
-enum SettleDispatch {
-    /// Scalar per-corner kernel — the serial reference, and the cold
-    /// batched path.
-    Scalar,
-    /// Corner-batched sweep — dense propagator or sparse
-    /// base-plus-Woodbury by regime (warm batched: within solver
-    /// tolerance).
-    Corrected,
-}
-
-/// The corner list of a worst-case evaluation: which PVT points every
-/// design is checked at.
+/// The corner list of an evaluation: which PVT points every design is
+/// checked at.
 #[derive(Debug, Clone)]
 pub struct CornerPlan {
     corners: Vec<Pvt>,
@@ -164,6 +156,16 @@ impl CornerPlan {
     pub fn pvt_worst_case() -> Self {
         CornerPlan {
             corners: Pvt::corner_set(),
+        }
+    }
+
+    /// The plan `mode` evaluates: the PVT set for
+    /// [`SimMode::PexWorstCase`], the nominal corner alone for the
+    /// single-corner fidelities.
+    pub(crate) fn for_mode(mode: SimMode) -> Self {
+        match mode {
+            SimMode::PexWorstCase => CornerPlan::pvt_worst_case(),
+            SimMode::Schematic | SimMode::Pex => CornerPlan::from_corners(vec![Pvt::nominal()]),
         }
     }
 
@@ -194,7 +196,8 @@ impl CornerPlan {
 /// measurement needs to interpret it.
 #[derive(Debug, Clone)]
 pub struct CornerCase {
-    /// The netlist evaluated at this corner (already PEX-extracted).
+    /// The netlist evaluated at this corner (PEX-extracted in every mode
+    /// but `Schematic`).
     pub ckt: Circuit,
     /// Output node driven and measured by the AC sweep.
     pub out: Node,
@@ -204,26 +207,94 @@ pub struct CornerCase {
     pub vdd_src: usize,
 }
 
-/// The shared corner-iteration engine behind `SimMode::PexWorstCase`:
-/// owns the corner set, the per-corner warm-start slots, and the choice
-/// between serial and lockstep-batched dispatch, so a topology
+/// Builds corner `pvt` of [`CornerPlan::for_mode`]`(mode)` through a
+/// topology's netlist builder, which returns the netlist, its output node
+/// and its supply-source index. `PexWorstCase` corners build at
+/// `tech.at_corner(pvt)` and the corner temperature; the single-corner
+/// fidelities build at `tech` itself and 300.15 K. Every mode but
+/// `Schematic` is parasitic-extracted with `pex`.
+pub(crate) fn mode_case(
+    mode: SimMode,
+    tech: &Technology,
+    pex: &PexConfig,
+    pvt: &Pvt,
+    build: impl FnOnce(&Technology) -> (Circuit, Node, usize),
+) -> CornerCase {
+    let (ckt, out, vdd_src) = match mode {
+        SimMode::PexWorstCase => build(&tech.at_corner(*pvt)),
+        SimMode::Schematic | SimMode::Pex => build(tech),
+    };
+    CornerCase {
+        ckt: match mode {
+            SimMode::Schematic => ckt,
+            SimMode::Pex | SimMode::PexWorstCase => extract(&ckt, pex),
+        },
+        out,
+        temp_k: match mode {
+            SimMode::PexWorstCase => pvt.temp_kelvin(),
+            SimMode::Schematic | SimMode::Pex => 300.15,
+        },
+        vdd_src,
+    }
+}
+
+/// Checks grid indices against a problem's parameter grids before any
+/// netlist is built: one index per parameter, each inside its grid.
+///
+/// # Errors
+///
+/// [`SimError::InvalidOptions`] for a wrong index count or an
+/// out-of-range index.
+pub(crate) fn check_indices(params: &[ParamSpec], idx: &[usize]) -> Result<(), SimError> {
+    if idx.len() != params.len() {
+        return Err(SimError::InvalidOptions {
+            what: "one grid index per parameter",
+        });
+    }
+    if idx.iter().zip(params).any(|(&i, p)| i >= p.cardinality()) {
+        return Err(SimError::InvalidOptions {
+            what: "grid index out of range",
+        });
+    }
+    Ok(())
+}
+
+/// What the measure closure of [`CornerEvaluator::evaluate`] sees of one
+/// solved corner.
+#[derive(Debug, Clone, Copy)]
+pub struct CornerView<'a> {
+    /// The corner's netlist and measurement metadata.
+    pub case: &'a CornerCase,
+    /// The corner's DC operating point.
+    pub op: &'a OpPoint,
+    /// The swept response at `case.out`.
+    pub resp: &'a AcResponse,
+    /// The noise analysis, when [`CornerEvaluator::with_noise`] is set. A
+    /// failed analysis is handed over rather than aborting the corner, so
+    /// the closure can map it to a spec's fail value.
+    pub noise: Option<&'a Result<NoiseResult, SimError>>,
+    /// The settling record, when [`CornerEvaluator::with_settling`] is set
+    /// and the corner has a positive -3 dB cutoff (`None` otherwise).
+    pub settle: Option<&'a SettleRecord>,
+}
+
+/// The one evaluation engine behind every `SimMode`: owns the corner plan,
+/// the per-corner warm-start slots, and the kernel choice, so a topology
 /// contributes only its circuit-builder closure and its per-corner spec
 /// measurement (the worst-case fold runs on the topology's spec
-/// definitions). The per-corner loops that used to be triplicated across
-/// `tia.rs`/`opamp2.rs`/`neggm.rs` live here and nowhere else.
+/// definitions). The single-corner fidelities are a one-corner plan.
 ///
-/// Batched dispatch cuts through all three stages of a corner
-/// evaluation: the B corners' DC operating points solve as one lockstep
-/// Newton (`dc_operating_point_batch`, one batched LU per iteration
-/// instead of B scalar ones), the AC sweep factors all B systems per
-/// frequency through the corner-axis SoA kernel (`ac_sweep_batch`), and
-/// only the cheap spec post-processing stays per corner. Results are
-/// identical per corner; one stubborn or defective corner falls back to
-/// the scalar path alone. When several corners fail, the reported
-/// `SimError` is the lowest-slot failure of the stage that surfaced it,
-/// which can differ from the serial path's (which stops at the first
-/// failing corner's first failing stage) — the Ok/Err outcome per corner
-/// never does.
+/// The pipeline is stage-major: every corner is built, then DC, AC,
+/// noise and settling each run over the whole corner set, then each
+/// corner is measured. Each stage picks its kernel once. The serial
+/// strategy and every one-corner plan run the scalar kernels. The batched
+/// strategy solves the corners' DC operating points as one lockstep
+/// Newton (`dc_operating_point_batch`) and sweeps AC through the
+/// corner-axis kernels: lockstep and bitwise when cold, Woodbury-corrected
+/// (within solver tolerance) when warm. When several corners fail, the
+/// reported `SimError` is the lowest-slot failure of the earliest stage
+/// that failed; whether a cold evaluation fails never depends on the
+/// strategy.
 #[derive(Debug, Clone)]
 pub struct CornerEvaluator {
     plan: CornerPlan,
@@ -284,32 +355,25 @@ impl CornerEvaluator {
 
     /// Enables a per-corner noise analysis over `freqs`, measured at each
     /// corner's output node and temperature, and hands the result to the
-    /// measure closure. Running noise *inside* the engine (instead of in
-    /// the closure) is what lets the batched strategy thread it: serial
-    /// corners run the scalar [`noise_analysis_ws`], batched runs (warm
-    /// and cold) run [`noise_analysis_batch`] — the same scalar
-    /// arithmetic per corner, threaded over the corner × frequency grid
-    /// when the scheduler grants lanes, so bitwise-identical per corner.
+    /// measure closure. Scalar corners run
+    /// [`autockt_sim::noise::noise_analysis_cfg`], batched sets
+    /// [`noise_analysis_batch`] — the same scalar arithmetic per corner,
+    /// threaded over the corner × frequency grid when the scheduler
+    /// grants lanes, so bitwise-identical per corner.
     pub fn with_noise(mut self, freqs: Vec<f64>) -> Self {
         self.noise_freqs = Some(freqs);
         self
     }
 
     /// Enables a per-corner linear step-response settling stage and hands
-    /// each corner's `(t, y)` record to the measure closure. The engine
-    /// first sweeps every corner, then integrates all valid corners (those
-    /// with a positive -3 dB cutoff) over **one shared time window**
-    /// `spec.window / min cutoff`; corners without a valid cutoff receive
-    /// `None` (topologies map that to the spec's fail value, matching
-    /// their pre-engine local measurement).
-    ///
-    /// Running settling *inside* the engine is what lets the batched
-    /// strategy corner-batch it: serial and cold batched corners
-    /// integrate through the scalar [`AcSolver::step_response`]
-    /// (bitwise-identical per corner), and warm batched runs
-    /// `step_response_corners` — each corner's constant companion folded
-    /// into a precomputed affine propagator at dense dims, base-factor +
-    /// Woodbury sibling correction at sparse dims.
+    /// each corner's `(t, y)` record to the measure closure. All valid
+    /// corners (those with a positive -3 dB cutoff) integrate over **one
+    /// shared time window** `spec.window / min cutoff`; corners without a
+    /// valid cutoff receive `None`. Scalar and cold batched corners
+    /// integrate through [`AcSolver::step_response`] (bitwise per
+    /// corner); warm batched sets run `step_response_corners` — a
+    /// precomputed affine propagator at dense dims, base-factor + Woodbury
+    /// sibling correction at sparse dims.
     pub fn with_settling(mut self, spec: SettleSpec) -> Self {
         self.settle = Some(spec);
         self
@@ -320,17 +384,166 @@ impl CornerEvaluator {
         &self.plan
     }
 
+    /// Evaluates every corner and reduces the per-corner spec rows to
+    /// the worst case in each spec's constraint direction.
+    ///
+    /// `build` produces corner `slot`'s circuit; `measure` turns one
+    /// solved corner ([`CornerView`]) into a spec row. A non-finite value
+    /// in a row is replaced by that spec's `fail_value` before the fold,
+    /// so it can never reach the reward as a met spec. `state` carries the
+    /// per-corner warm slots and the session's workspaces; `None`
+    /// evaluates cold.
+    ///
+    /// # Errors
+    ///
+    /// Returns a corner failure (unsolvable operating point, singular
+    /// sweep, or measurement error) — same contract as
+    /// `SizingProblem::simulate` — and [`SimError::InvalidOptions`] for an
+    /// empty corner plan, before any `build` call.
+    pub fn evaluate<B, M>(
+        &self,
+        specs: &[SpecDef],
+        mut build: B,
+        mut measure: M,
+        mut state: Option<&mut WarmState>,
+    ) -> Result<Vec<f64>, SimError>
+    where
+        B: FnMut(usize, &Pvt) -> CornerCase,
+        M: FnMut(&CornerView<'_>) -> Result<Vec<f64>, SimError>,
+    {
+        if self.plan.is_empty() {
+            return Err(SimError::InvalidOptions {
+                what: "empty corner plan",
+            });
+        }
+        let batched = self.strategy == CornerStrategy::Batched && self.plan.len() > 1;
+        let warm = state.is_some();
+        let cfg = self.dc_opts.solver;
+        let cases: Vec<CornerCase> = self
+            .plan
+            .corners
+            .iter()
+            .enumerate()
+            .map(|(slot, pvt)| build(slot, pvt))
+            .collect();
+
+        let mut ops = Vec::with_capacity(cases.len());
+        if batched {
+            let ckts: Vec<&Circuit> = cases.iter().map(|c| &c.ckt).collect();
+            let solved = match state.as_deref_mut() {
+                Some(st) => st.solve_batch(0, &ckts, &self.dc_opts),
+                None => {
+                    let seeds = vec![None; ckts.len()];
+                    let mut ws = DcBatchWorkspace::new();
+                    dc_operating_point_batch(&ckts, &self.dc_opts, &seeds, &mut ws)
+                }
+            };
+            for op in solved {
+                ops.push(op?);
+            }
+        } else {
+            for (slot, case) in cases.iter().enumerate() {
+                ops.push(match state.as_deref_mut() {
+                    Some(st) => st.solve(slot, &case.ckt, &self.dc_opts)?,
+                    None => dc_operating_point(&case.ckt, &self.dc_opts)?,
+                });
+            }
+        }
+        let solvers: Vec<AcSolver<'_>> = cases
+            .iter()
+            .zip(&ops)
+            .map(|(c, op)| AcSolver::new(&c.ckt, op).with_config(cfg))
+            .collect();
+        let outs: Vec<Node> = cases.iter().map(|c| c.out).collect();
+
+        // Cold evaluations own their workspaces; warm ones borrow the
+        // session's, so consecutive evaluations reuse every buffer.
+        let mut cold = AcWorkspace::new();
+        let mut cold_batch = AcBatchWorkspace::new();
+        let swept = if batched {
+            let ws = match state.as_deref_mut() {
+                Some(st) => st.ac_batch_workspace(),
+                None => &mut cold_batch,
+            };
+            if warm {
+                ac_sweep_corners(&solvers, &self.freqs, &outs, ws)
+            } else {
+                ac_sweep_batch_solvers(&solvers, &self.freqs, &outs, ws)
+            }
+        } else {
+            let ws = match state.as_deref_mut() {
+                Some(st) => st.ac_workspace(),
+                None => &mut cold,
+            };
+            solvers
+                .iter()
+                .zip(&outs)
+                .map(|(s, &out)| {
+                    let h = s.solve_sources_batch_ws(&self.freqs, out, ws)?;
+                    let freqs = self.freqs.clone();
+                    Ok(AcResponse { freqs, h })
+                })
+                .collect()
+        };
+        let resps = swept.into_iter().collect::<Result<Vec<_>, _>>()?;
+
+        let noises: Option<Vec<Result<NoiseResult, SimError>>> =
+            self.noise_freqs.as_ref().map(|nf| {
+                if batched {
+                    let ops: Vec<&OpPoint> = ops.iter().collect();
+                    let temps: Vec<f64> = cases.iter().map(|c| c.temp_k).collect();
+                    let ws = match state {
+                        Some(st) => st.ac_batch_workspace(),
+                        None => &mut cold_batch,
+                    };
+                    noise_analysis_batch(&solvers, &ops, &outs, nf, &temps, ws)
+                } else {
+                    let ws = match state {
+                        Some(st) => st.ac_workspace(),
+                        None => &mut cold,
+                    };
+                    cases
+                        .iter()
+                        .zip(&ops)
+                        .map(|(c, op)| noise_analysis_cfg(&c.ckt, op, c.out, nf, c.temp_k, cfg, ws))
+                        .collect()
+                }
+            });
+
+        let settles = self.settle_stage(&solvers, &outs, &resps, batched && warm);
+
+        let mut rows = Vec::with_capacity(cases.len());
+        for (slot, ((case, op), resp)) in cases.iter().zip(&ops).zip(&resps).enumerate() {
+            rows.push(measure(&CornerView {
+                case,
+                op,
+                resp,
+                noise: noises.as_ref().map(|v| &v[slot]),
+                settle: settles.as_ref().and_then(|v| v[slot].as_ref()),
+            })?);
+        }
+        for row in &mut rows {
+            for (v, spec) in row.iter_mut().zip(specs) {
+                if !v.is_finite() {
+                    *v = spec.fail_value;
+                }
+            }
+        }
+        Ok(worst_case(specs, &rows))
+    }
+
     /// Runs the settling stage over the solved corner set: picks the
     /// shared time window from the slowest valid corner cutoff, then
-    /// integrates every valid corner through the dispatch's kernel.
-    /// Returns `None` when no settle stage is configured; per-corner
-    /// `None` marks an invalid cutoff (no settling record).
+    /// integrates every valid corner — through the corner-batched
+    /// `step_response_corners` when `corrected`, through the scalar
+    /// kernel otherwise. Returns `None` when no settle stage is
+    /// configured; per-corner `None` marks an invalid cutoff.
     fn settle_stage(
         &self,
         solvers: &[AcSolver<'_>],
         outs: &[Node],
         resps: &[AcResponse],
-        dispatch: SettleDispatch,
+        corrected: bool,
     ) -> Option<Vec<Option<SettleRecord>>> {
         let spec = self.settle?;
         let mut slots: Vec<Option<SettleRecord>> = (0..solvers.len()).map(|_| None).collect();
@@ -348,340 +561,19 @@ impl CornerEvaluator {
             return Some(slots);
         }
         let t_stop = spec.window / min_cutoff;
-        match dispatch {
-            SettleDispatch::Scalar => {
-                for &i in &live {
-                    slots[i] = Some(solvers[i].step_response(outs[i], t_stop, spec.steps));
-                }
+        if corrected {
+            let ls: Vec<&AcSolver<'_>> = live.iter().map(|&i| &solvers[i]).collect();
+            let lo: Vec<Node> = live.iter().map(|&i| outs[i]).collect();
+            let recs = step_response_corners(&ls, &lo, t_stop, spec.steps);
+            for (&i, r) in live.iter().zip(recs) {
+                slots[i] = Some(r);
             }
-            SettleDispatch::Corrected => {
-                let ls: Vec<&AcSolver<'_>> = live.iter().map(|&i| &solvers[i]).collect();
-                let lo: Vec<Node> = live.iter().map(|&i| outs[i]).collect();
-                let recs = step_response_corners(&ls, &lo, t_stop, spec.steps);
-                for (&i, r) in live.iter().zip(recs) {
-                    slots[i] = Some(r);
-                }
+        } else {
+            for &i in &live {
+                slots[i] = Some(solvers[i].step_response(outs[i], t_stop, spec.steps));
             }
         }
         Some(slots)
-    }
-
-    /// Evaluates every corner and reduces the per-corner spec rows to
-    /// the worst case in each spec's constraint direction.
-    ///
-    /// `build` produces corner `slot`'s circuit; `measure` turns corner
-    /// `slot`'s operating point, linearization, swept response, and —
-    /// when [`CornerEvaluator::with_noise`] /
-    /// [`CornerEvaluator::with_settling`] are set — noise analysis and
-    /// settling record into a spec row (it receives the session's
-    /// [`AcWorkspace`] when warm-started, for allocation-free
-    /// measurements). A noise failure is handed to the closure rather
-    /// than aborting the corner, so topologies can map it to a spec's
-    /// fail value; likewise a settling record's `Err` lets the closure
-    /// decide. `state` carries the per-corner warm slots; `None`
-    /// evaluates cold.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first corner failure (unsolvable operating point,
-    /// singular sweep, or measurement error) — same contract as
-    /// `SizingProblem::simulate` — and [`SimError::InvalidOptions`] for an
-    /// empty corner plan, before any `build` call.
-    pub fn evaluate<B, M>(
-        &self,
-        specs: &[SpecDef],
-        build: B,
-        measure: M,
-        state: Option<&mut WarmState>,
-    ) -> Result<Vec<f64>, SimError>
-    where
-        B: FnMut(usize, &Pvt) -> CornerCase,
-        M: FnMut(
-            usize,
-            &CornerCase,
-            &OpPoint,
-            &AcSolver<'_>,
-            &AcResponse,
-            Option<&mut AcWorkspace>,
-            Option<&Result<NoiseResult, SimError>>,
-            Option<&SettleRecord>,
-        ) -> Result<Vec<f64>, SimError>,
-    {
-        if self.plan.is_empty() {
-            return Err(SimError::InvalidOptions {
-                what: "empty corner plan",
-            });
-        }
-        let rows = match self.strategy {
-            CornerStrategy::Serial => self.rows_serial(build, measure, state)?,
-            CornerStrategy::Batched => self.rows_batched(build, measure, state)?,
-        };
-        Ok(worst_case(specs, &rows))
-    }
-
-    /// The reference path: corner after corner through the scalar
-    /// kernels, exactly the loop the topologies used to carry.
-    fn rows_serial<B, M>(
-        &self,
-        mut build: B,
-        mut measure: M,
-        mut state: Option<&mut WarmState>,
-    ) -> Result<Vec<Vec<f64>>, SimError>
-    where
-        B: FnMut(usize, &Pvt) -> CornerCase,
-        M: FnMut(
-            usize,
-            &CornerCase,
-            &OpPoint,
-            &AcSolver<'_>,
-            &AcResponse,
-            Option<&mut AcWorkspace>,
-            Option<&Result<NoiseResult, SimError>>,
-            Option<&SettleRecord>,
-        ) -> Result<Vec<f64>, SimError>,
-    {
-        if self.settle.is_some() {
-            // The shared settling window needs every corner's cutoff
-            // before any record integrates, so a settle-enabled serial
-            // evaluation runs stage-major instead of corner-major.
-            return self.rows_serial_phased(build, measure, state);
-        }
-        let mut rows = Vec::with_capacity(self.plan.len());
-        for (slot, pvt) in self.plan.corners.iter().enumerate() {
-            let case = build(slot, pvt);
-            let op = match state.as_deref_mut() {
-                Some(st) => st.solve(slot, &case.ckt, &self.dc_opts)?,
-                None => autockt_sim::dc::dc_operating_point(&case.ckt, &self.dc_opts)?,
-            };
-            let solver = AcSolver::new(&case.ckt, &op).with_config(self.dc_opts.solver);
-            let (resp, noise) = self.serial_sweep(&solver, &case, &op, &mut state)?;
-            rows.push(measure(
-                slot,
-                &case,
-                &op,
-                &solver,
-                &resp,
-                state.as_deref_mut().map(WarmState::ac_workspace),
-                noise.as_ref(),
-                None,
-            )?);
-        }
-        Ok(rows)
-    }
-
-    /// One corner's scalar AC sweep and optional noise analysis, both
-    /// through the session's [`AcWorkspace`] when warm and one fresh
-    /// workspace when cold —
-    /// shared by the interleaved and phased (settle-enabled) serial paths
-    /// so both produce bitwise-identical responses.
-    #[allow(clippy::type_complexity)]
-    fn serial_sweep(
-        &self,
-        solver: &AcSolver<'_>,
-        case: &CornerCase,
-        op: &OpPoint,
-        state: &mut Option<&mut WarmState>,
-    ) -> Result<(AcResponse, Option<Result<NoiseResult, SimError>>), SimError> {
-        let mut fresh = AcWorkspace::default();
-        let ws = match state.as_deref_mut() {
-            Some(st) => st.ac_workspace(),
-            None => &mut fresh,
-        };
-        let h = solver.solve_sources_batch_ws(&self.freqs, case.out, ws)?;
-        let resp = AcResponse {
-            freqs: self.freqs.clone(),
-            h,
-        };
-        let noise = self.noise_freqs.as_ref().map(|nf| {
-            noise_analysis_cfg(
-                &case.ckt,
-                op,
-                case.out,
-                nf,
-                case.temp_k,
-                self.dc_opts.solver,
-                ws,
-            )
-        });
-        Ok((resp, noise))
-    }
-
-    /// The serial path when a settle stage is configured: corner-by-corner
-    /// build/DC/AC/noise in slot order through the same scalar kernels as
-    /// the interleaved loop, then the scalar settle stage over the shared
-    /// window, then the measurements.
-    fn rows_serial_phased<B, M>(
-        &self,
-        mut build: B,
-        mut measure: M,
-        mut state: Option<&mut WarmState>,
-    ) -> Result<Vec<Vec<f64>>, SimError>
-    where
-        B: FnMut(usize, &Pvt) -> CornerCase,
-        M: FnMut(
-            usize,
-            &CornerCase,
-            &OpPoint,
-            &AcSolver<'_>,
-            &AcResponse,
-            Option<&mut AcWorkspace>,
-            Option<&Result<NoiseResult, SimError>>,
-            Option<&SettleRecord>,
-        ) -> Result<Vec<f64>, SimError>,
-    {
-        let mut cases = Vec::with_capacity(self.plan.len());
-        let mut ops = Vec::with_capacity(self.plan.len());
-        let mut resps = Vec::with_capacity(self.plan.len());
-        let mut noises = Vec::with_capacity(self.plan.len());
-        for (slot, pvt) in self.plan.corners.iter().enumerate() {
-            let case = build(slot, pvt);
-            let op = match state.as_deref_mut() {
-                Some(st) => st.solve(slot, &case.ckt, &self.dc_opts)?,
-                None => autockt_sim::dc::dc_operating_point(&case.ckt, &self.dc_opts)?,
-            };
-            let solver = AcSolver::new(&case.ckt, &op).with_config(self.dc_opts.solver);
-            let (resp, noise) = self.serial_sweep(&solver, &case, &op, &mut state)?;
-            cases.push(case);
-            ops.push(op);
-            resps.push(resp);
-            noises.push(noise);
-        }
-        let solvers: Vec<AcSolver<'_>> = cases
-            .iter()
-            .zip(&ops)
-            .map(|(c, op)| AcSolver::new(&c.ckt, op).with_config(self.dc_opts.solver))
-            .collect();
-        let outs: Vec<Node> = cases.iter().map(|c| c.out).collect();
-        let settles = self.settle_stage(&solvers, &outs, &resps, SettleDispatch::Scalar);
-        let mut rows = Vec::with_capacity(cases.len());
-        for (slot, ((case, op), (solver, resp))) in cases
-            .iter()
-            .zip(&ops)
-            .zip(solvers.iter().zip(&resps))
-            .enumerate()
-        {
-            rows.push(measure(
-                slot,
-                case,
-                op,
-                solver,
-                resp,
-                state.as_deref_mut().map(WarmState::ac_workspace),
-                noises[slot].as_ref(),
-                settles.as_ref().and_then(|v| v[slot].as_ref()),
-            )?);
-        }
-        Ok(rows)
-    }
-
-    /// The lockstep path: one batched DC Newton across all corners, one
-    /// corner-batched AC sweep, then the per-corner measurements.
-    fn rows_batched<B, M>(
-        &self,
-        mut build: B,
-        mut measure: M,
-        mut state: Option<&mut WarmState>,
-    ) -> Result<Vec<Vec<f64>>, SimError>
-    where
-        B: FnMut(usize, &Pvt) -> CornerCase,
-        M: FnMut(
-            usize,
-            &CornerCase,
-            &OpPoint,
-            &AcSolver<'_>,
-            &AcResponse,
-            Option<&mut AcWorkspace>,
-            Option<&Result<NoiseResult, SimError>>,
-            Option<&SettleRecord>,
-        ) -> Result<Vec<f64>, SimError>,
-    {
-        let cases: Vec<CornerCase> = self
-            .plan
-            .corners
-            .iter()
-            .enumerate()
-            .map(|(slot, pvt)| build(slot, pvt))
-            .collect();
-        let ckts: Vec<&Circuit> = cases.iter().map(|c| &c.ckt).collect();
-        let op_results = match state.as_deref_mut() {
-            Some(st) => st.solve_batch(0, &ckts, &self.dc_opts),
-            None => {
-                let warm = vec![None; ckts.len()];
-                dc_operating_point_batch(&ckts, &self.dc_opts, &warm, &mut DcBatchWorkspace::new())
-            }
-        };
-        let mut ops = Vec::with_capacity(op_results.len());
-        for r in op_results {
-            ops.push(r?);
-        }
-        let solvers: Vec<AcSolver<'_>> = cases
-            .iter()
-            .zip(&ops)
-            .map(|(c, op)| AcSolver::new(&c.ckt, op).with_config(self.dc_opts.solver))
-            .collect();
-        let outs: Vec<Node> = cases.iter().map(|c| c.out).collect();
-        // Warm sessions take the corner-correction sweep (one base
-        // factorization per frequency + per-corner low-rank corrections
-        // — exact to roundoff, inside the warm path's solver-tolerance
-        // contract). The cold path stays on the lockstep batch, whose
-        // per-corner arithmetic is bitwise-identical to the serial
-        // reference.
-        let mut cold_ws = AcBatchWorkspace::new();
-        let resp_results = match state.as_deref_mut() {
-            Some(st) => ac_sweep_corners(&solvers, &self.freqs, &outs, st.ac_batch_workspace()),
-            None => ac_sweep_batch_solvers(&solvers, &self.freqs, &outs, &mut cold_ws),
-        };
-        let mut resps = Vec::with_capacity(resp_results.len());
-        for r in resp_results {
-            resps.push(r?);
-        }
-        // Noise runs the per-corner scalar arithmetic (bitwise) warm and
-        // cold; a warm session only lends its workspace. Per-corner
-        // failures stay in the row — the measure closure decides whether a
-        // noise failure is fatal.
-        let noise_results: Option<Vec<Result<NoiseResult, SimError>>> =
-            self.noise_freqs.as_ref().map(|nf| {
-                let ops_refs: Vec<&OpPoint> = ops.iter().collect();
-                let temps: Vec<f64> = cases.iter().map(|c| c.temp_k).collect();
-                let ws = match state.as_deref_mut() {
-                    Some(st) => st.ac_batch_workspace(),
-                    None => &mut cold_ws,
-                };
-                noise_analysis_batch(&solvers, &ops_refs, &outs, nf, &temps, ws)
-            });
-        // Settling rides the dispatch too: cold runs the scalar kernel
-        // per corner (bitwise-identical to the phased serial reference),
-        // warm runs the corner-batched kernel (dense propagator / sparse
-        // Woodbury by regime).
-        let settles = self.settle_stage(
-            &solvers,
-            &outs,
-            &resps,
-            if state.is_some() {
-                SettleDispatch::Corrected
-            } else {
-                SettleDispatch::Scalar
-            },
-        );
-        let mut rows = Vec::with_capacity(cases.len());
-        for (slot, ((case, op), (solver, resp))) in cases
-            .iter()
-            .zip(&ops)
-            .zip(solvers.iter().zip(&resps))
-            .enumerate()
-        {
-            rows.push(measure(
-                slot,
-                case,
-                op,
-                solver,
-                resp,
-                state.as_deref_mut().map(WarmState::ac_workspace),
-                noise_results.as_ref().map(|v| &v[slot]),
-                settles.as_ref().and_then(|v| v[slot].as_ref()),
-            )?);
-        }
-        Ok(rows)
     }
 }
 
@@ -733,9 +625,10 @@ pub trait SizingProblem: Send + Sync {
     /// # Errors
     ///
     /// Returns a [`SimError`] when the operating point cannot be solved at
-    /// all; per-measurement failures are reported through each spec's
-    /// `fail_value` instead so a partially-working design still produces an
-    /// informative observation.
+    /// all, and [`SimError::InvalidOptions`] when `idx` does not hold one
+    /// in-range index per parameter; per-measurement failures are reported
+    /// through each spec's `fail_value` instead so a partially-working
+    /// design still produces an informative observation.
     fn simulate(&self, idx: &[usize], mode: SimMode) -> Result<Vec<f64>, SimError>;
 
     /// Like [`SizingProblem::simulate`], threading warm-start state through
@@ -1765,9 +1658,7 @@ mod tests {
         engine.evaluate(
             &specs,
             |slot, _pvt| rc_case(slot, defective),
-            |_slot, _case, _op, _solver, resp, _ws, _noise, _settle| {
-                Ok(vec![resp.h[0].norm(), resp.h.last().unwrap().norm()])
-            },
+            |v| Ok(vec![v.resp.h[0].norm(), v.resp.h.last().unwrap().norm()]),
             warm,
         )
     }
@@ -1790,7 +1681,7 @@ mod tests {
                 let r = engine.evaluate(
                     &specs,
                     |_slot, _pvt| -> CornerCase { panic!("no corner may be built") },
-                    |_slot, _case, _op, _solver, _resp, _ws, _noise, _settle| Ok(vec![0.0, 0.0]),
+                    |_| Ok(vec![0.0, 0.0]),
                     state,
                 );
                 assert_eq!(
@@ -1799,6 +1690,50 @@ mod tests {
                         what: "empty corner plan"
                     })
                 );
+            }
+        }
+    }
+
+    /// A NaN or infinity in any slot of any corner's measured row becomes
+    /// that spec's fail value before the worst-case fold, under both
+    /// strategies, cold and warm; the other specs keep their clean values.
+    #[test]
+    fn non_finite_corner_values_become_fail_values() {
+        let corners = CornerPlan::pvt_worst_case().len();
+        for strategy in [CornerStrategy::Serial, CornerStrategy::Batched] {
+            let (engine, specs) = rc_engine(strategy);
+            let mut warm = WarmState::new();
+            for warm_on in [false, true] {
+                let mut run = |inject: Option<(usize, usize, f64)>| {
+                    let mut corner = 0;
+                    let state = if warm_on { Some(&mut warm) } else { None };
+                    engine.evaluate(
+                        &specs,
+                        |slot, _pvt| rc_case(slot, None),
+                        |v| {
+                            let mut row = vec![v.resp.h[0].norm(), v.resp.h.last().unwrap().norm()];
+                            if let Some((c, s, bad)) = inject {
+                                if c == corner {
+                                    row[s] = bad;
+                                }
+                            }
+                            corner += 1;
+                            Ok(row)
+                        },
+                        state,
+                    )
+                };
+                let clean = run(None).unwrap();
+                for c in 0..corners {
+                    for s in 0..specs.len() {
+                        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                            let out = run(Some((c, s, bad))).unwrap();
+                            let mut expect = clean.clone();
+                            expect[s] = specs[s].fail_value;
+                            assert_eq!(out, expect, "{strategy:?} warm={warm_on} {c}/{s}: {bad}");
+                        }
+                    }
+                }
             }
         }
     }
@@ -1815,12 +1750,13 @@ mod tests {
             engine.evaluate(
                 &specs,
                 |slot, _pvt| rc_case(slot, None),
-                |_slot, _case, _op, _solver, resp, _ws, noise, _settle| {
-                    let nr = noise
+                |v| {
+                    let nr = v
+                        .noise
                         .expect("engine must run noise")
                         .as_ref()
                         .expect("rc corners are noisy and solvable");
-                    Ok(vec![resp.h[0].norm(), nr.out_vrms])
+                    Ok(vec![v.resp.h[0].norm(), nr.out_vrms])
                 },
                 warm,
             )
@@ -1857,14 +1793,15 @@ mod tests {
             engine.evaluate(
                 &specs,
                 |slot, _pvt| rc_case(slot, None),
-                |_slot, _case, _op, _solver, resp, _ws, _noise, settle| {
-                    let (t, y) = settle
+                |v| {
+                    let (t, y) = v
+                        .settle
                         .expect("rc corners have a valid cutoff")
                         .as_ref()
                         .expect("rc settling integrates");
                     assert_eq!(t.len(), 257, "steps + 1 samples per record");
                     assert!(t[t.len() - 1] > 0.0, "shared window must be positive");
-                    Ok(vec![resp.h[0].norm(), *y.last().unwrap()])
+                    Ok(vec![v.resp.h[0].norm(), *y.last().unwrap()])
                 },
                 warm,
             )

@@ -10,15 +10,14 @@
 //! output noise.
 
 use crate::problem::{
-    CornerCase, CornerEvaluator, CornerPlan, CornerStrategy, ParamSpec, SettleRecord, SettleSpec,
-    SimMode, SizingProblem, SpecDef, SpecKind,
+    check_indices, mode_case, CornerEvaluator, CornerPlan, CornerStrategy, CornerView, ParamSpec,
+    SettleSpec, SimMode, SizingProblem, SpecDef, SpecKind,
 };
-use autockt_sim::ac::{ac_sweep_cfg, log_freqs, AcResponse, AcSolver, AcWorkspace};
-use autockt_sim::dc::{dc_operating_point, DcOptions, OpPoint, WarmState};
+use autockt_sim::ac::log_freqs;
+use autockt_sim::dc::{DcOptions, WarmState};
 use autockt_sim::device::{MosPolarity, Technology};
 use autockt_sim::measure::settling_time;
 use autockt_sim::netlist::{Circuit, Mosfet, Node, Step, GND};
-use autockt_sim::noise::{noise_analysis_cfg, NoiseResult};
 use autockt_sim::pex::{extract, PexConfig};
 use autockt_sim::tran::{transient, transient_warm, TranOptions};
 use autockt_sim::{SimError, SolverConfig};
@@ -164,6 +163,11 @@ impl Tia {
 
     /// Builds the netlist at the given grid indices for a technology
     /// variant. Returns the circuit and its output node.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `idx` holds one in-range index per parameter
+    /// (`simulate` checks this first and reports it as an error).
     pub fn build(&self, idx: &[usize], tech: &Technology) -> (Circuit, Node) {
         self.build_inner(idx, tech, None)
     }
@@ -233,15 +237,12 @@ impl Tia {
         (ckt, out)
     }
 
-    /// The AC sweep grid shared by every fidelity's measurement (the
-    /// corner engine and `measure_at` must sweep the same points).
+    /// The AC sweep grid of every fidelity.
     fn ac_freqs() -> Vec<f64> {
         log_freqs(1e5, 1e12, 10)
     }
 
-    /// The noise integration grid shared by every fidelity's measurement
-    /// (the corner engine's batched noise analyses and the single-corner
-    /// `measure_at` path must integrate the same points). Public so the
+    /// The noise integration grid of every fidelity. Public so the
     /// noise-corner benches time the exact production workload.
     pub fn noise_freqs() -> Vec<f64> {
         log_freqs(1e4, 1e11, 8)
@@ -255,110 +256,51 @@ impl Tia {
         }
     }
 
-    fn measure(&self, ckt: &Circuit, out: Node, temp_k: f64) -> Result<Vec<f64>, SimError> {
-        let op = dc_operating_point(ckt, &self.dc_opts())?;
-        self.measure_at(ckt, out, temp_k, &op, None)
-    }
-
-    fn measure_warm(
-        &self,
-        ckt: &Circuit,
-        out: Node,
-        temp_k: f64,
-        slot: usize,
-        state: &mut WarmState,
-    ) -> Result<Vec<f64>, SimError> {
-        let op = state.solve(slot, ckt, &self.dc_opts())?;
-        self.measure_at(ckt, out, temp_k, &op, Some(state.ac_workspace()))
-    }
-
     /// Shared body of `simulate`/`simulate_warm`: `state` selects the
-    /// warm (session-threaded) or cold measurement path.
+    /// warm (session-threaded) or cold measurement path. Every mode runs
+    /// through the corner engine, with noise and settling as engine
+    /// stages; `Schematic` and `Pex` are a one-corner plan. Settling
+    /// integrates one shared window scaled to the slowest corner's cutoff
+    /// (window 8.0), 2048 trapezoidal steps.
     fn simulate_inner(
         &self,
         idx: &[usize],
         mode: SimMode,
         mut state: Option<&mut WarmState>,
     ) -> Result<Vec<f64>, SimError> {
-        let measure = |ckt: &Circuit, out, temp_k, slot, state: Option<&mut WarmState>| match state
-        {
-            Some(st) => self.measure_warm(ckt, out, temp_k, slot, st),
-            None => self.measure(ckt, out, temp_k),
-        };
-        match mode {
-            SimMode::Schematic => {
-                let (ckt, out) = self.build(idx, &self.tech);
-                let mut specs = measure(&ckt, out, 300.15, 0, state.as_deref_mut())?;
-                if self.transient_settling {
-                    let (sckt, sout) = self.build_step(idx, &self.tech, Tia::STEP_CURRENT);
-                    specs[spec_index::SETTLING] =
-                        self.settling_transient(&sckt, sout, specs[spec_index::CUTOFF], state)?;
-                }
-                Ok(specs)
-            }
-            SimMode::Pex => {
-                let (ckt, out) = self.build(idx, &self.tech);
-                let ex = extract(&ckt, &self.pex);
-                let mut specs = measure(&ex, out, 300.15, 0, state.as_deref_mut())?;
-                if self.transient_settling {
-                    let (sckt, sout) = self.build_step(idx, &self.tech, Tia::STEP_CURRENT);
-                    let sex = extract(&sckt, &self.pex);
-                    specs[spec_index::SETTLING] =
-                        self.settling_transient(&sex, sout, specs[spec_index::CUTOFF], state)?;
-                }
-                Ok(specs)
-            }
-            SimMode::PexWorstCase => {
-                // Noise and settling run inside the engine (`with_noise`
-                // / `with_settling`) so the batched strategy can factor
-                // them with the corner set: per-corner scalar (bitwise)
-                // cold, corner-batched (Woodbury noise, propagator/Woodbury
-                // settling by regime) warm — the TIA's worst-case step is
-                // noise- and settle-bound, so this is where its dense-dim
-                // speedup comes from.
-                // Settling integrates one shared window scaled to the
-                // slowest corner's cutoff (window 8.0, as the per-corner
-                // measurement used), 2048 trapezoidal steps.
-                let engine = CornerEvaluator::new(
-                    CornerPlan::pvt_worst_case(),
-                    self.dc_opts(),
-                    Tia::ac_freqs(),
-                    self.corner_strategy,
-                )
-                .with_noise(Tia::noise_freqs())
-                .with_settling(SettleSpec {
-                    steps: 2048,
-                    window: 8.0,
-                });
-                engine.evaluate(
-                    &self.specs,
-                    |_slot, pvt| {
-                        let tech = self.tech.at_corner(*pvt);
-                        let (ckt, out) = self.build(idx, &tech);
-                        CornerCase {
-                            ckt: extract(&ckt, &self.pex),
-                            out,
-                            temp_k: pvt.temp_kelvin(),
-                            vdd_src: 0,
-                        }
-                    },
-                    |_slot, case, op, solver, resp, ws, noise, settle| {
-                        self.corner_specs(
-                            &case.ckt,
-                            case.out,
-                            case.temp_k,
-                            op,
-                            Some(solver),
-                            resp,
-                            ws,
-                            noise,
-                            settle,
-                        )
-                    },
-                    state,
-                )
-            }
+        check_indices(&self.params, idx)?;
+        let engine = CornerEvaluator::new(
+            CornerPlan::for_mode(mode),
+            self.dc_opts(),
+            Tia::ac_freqs(),
+            self.corner_strategy,
+        )
+        .with_noise(Tia::noise_freqs())
+        .with_settling(SettleSpec {
+            steps: 2048,
+            window: 8.0,
+        });
+        let mut specs = engine.evaluate(
+            &self.specs,
+            |_slot, pvt| {
+                mode_case(mode, &self.tech, &self.pex, pvt, |tech| {
+                    let (ckt, out) = self.build(idx, tech);
+                    (ckt, out, 0)
+                })
+            },
+            |v| self.corner_specs(v),
+            state.as_deref_mut(),
+        )?;
+        if self.transient_settling && mode != SimMode::PexWorstCase {
+            let (sckt, sout) = self.build_step(idx, &self.tech, Tia::STEP_CURRENT);
+            let sckt = match mode {
+                SimMode::Pex => extract(&sckt, &self.pex),
+                _ => sckt,
+            };
+            specs[spec_index::SETTLING] =
+                self.settling_transient(&sckt, sout, specs[spec_index::CUTOFF], state)?;
         }
+        Ok(specs)
     }
 
     /// Step amplitude for the nonlinear transient settling measurement:
@@ -399,106 +341,26 @@ impl Tia {
         Ok(settling_time(&res.t, &w, 0.02).unwrap_or(fail))
     }
 
-    fn measure_at(
-        &self,
-        ckt: &Circuit,
-        out: Node,
-        temp_k: f64,
-        op: &OpPoint,
-        mut ac_ws: Option<&mut AcWorkspace>,
-    ) -> Result<Vec<f64>, SimError> {
-        let freqs = Tia::ac_freqs();
-        let resp = match ac_ws.as_deref_mut() {
-            Some(ws) => ac_sweep_cfg(ckt, op, &freqs, out, self.solver, ws)?,
-            None => ac_sweep_cfg(
-                ckt,
-                op,
-                &freqs,
-                out,
-                self.solver,
-                &mut AcWorkspace::default(),
-            )?,
-        };
-        self.corner_specs(ckt, out, temp_k, op, None, &resp, ac_ws, None, None)
-    }
-
-    /// Spec extraction shared by the single-corner measurement and the
-    /// corner engine: cutoff from the swept response, settling from the
-    /// linear step response — taken from the engine's settle stage when
-    /// provided (`settle`: corner-batched over a shared window), run
-    /// scalar here otherwise (single-corner fidelities, own-bandwidth
-    /// window) — and integrated output noise at `temp_k`, likewise from
-    /// the engine's corner-batched analysis when provided (`noise`).
-    #[allow(clippy::too_many_arguments)]
-    fn corner_specs(
-        &self,
-        ckt: &Circuit,
-        out: Node,
-        temp_k: f64,
-        op: &OpPoint,
-        solver: Option<&AcSolver<'_>>,
-        resp: &AcResponse,
-        ac_ws: Option<&mut AcWorkspace>,
-        noise: Option<&Result<NoiseResult, SimError>>,
-        settle: Option<&SettleRecord>,
-    ) -> Result<Vec<f64>, SimError> {
-        let cutoff = resp
+    /// One corner's specs: cutoff from the swept response, settling from
+    /// the engine's step-response record (a corner without a valid cutoff
+    /// has none and reports the fail value), and integrated output noise
+    /// from the engine's noise analysis (a failed analysis reports the
+    /// fail value).
+    fn corner_specs(&self, v: &CornerView<'_>) -> Result<Vec<f64>, SimError> {
+        let cutoff = v
+            .resp
             .f_3db()
             .unwrap_or(self.specs[spec_index::CUTOFF].fail_value);
-
-        // Settling: window scaled to the measured bandwidth so both 5 ps
-        // and 500 ps responses resolve on a 2048-step grid. The engine's
-        // settle stage (corner evaluations) already integrated the
-        // record; an engine-detected invalid cutoff arrives as `None`
-        // and falls into the `cutoff <= 0` arm below, matching the
-        // local measurement.
-        let settling = match settle {
-            Some(Ok((t, y))) => {
-                settling_time(t, y, 0.02).unwrap_or(self.specs[spec_index::SETTLING].fail_value)
-            }
+        let settling_fail = self.specs[spec_index::SETTLING].fail_value;
+        let settling = match v.settle {
+            Some(Ok((t, y))) => settling_time(t, y, 0.02).unwrap_or(settling_fail),
             Some(Err(e)) => return Err(e.clone()),
-            None if cutoff > 0.0 => {
-                let own;
-                let solver = match solver {
-                    Some(s) => s,
-                    None => {
-                        own = AcSolver::new(ckt, op).with_config(self.solver);
-                        &own
-                    }
-                };
-                let t_stop = 8.0 / cutoff;
-                let (t, y) = solver.step_response(out, t_stop, 2048)?;
-                settling_time(&t, &y, 0.02).unwrap_or(self.specs[spec_index::SETTLING].fail_value)
-            }
-            None => self.specs[spec_index::SETTLING].fail_value,
+            None => settling_fail,
         };
-
-        // Integrated output noise across the amplifier band: the corner
-        // engine already analyzed it (batched/corrected); single-corner
-        // paths run the scalar analysis here. A noise failure reports the
-        // spec's fail value either way.
-        let fail = self.specs[spec_index::NOISE].fail_value;
-        let noise = match noise {
-            Some(nr) => nr.as_ref().map(|n| n.out_vrms).unwrap_or(fail),
-            None => {
-                let nfreqs = Tia::noise_freqs();
-                match ac_ws {
-                    Some(ws) => noise_analysis_cfg(ckt, op, out, &nfreqs, temp_k, self.solver, ws),
-                    None => noise_analysis_cfg(
-                        ckt,
-                        op,
-                        out,
-                        &nfreqs,
-                        temp_k,
-                        self.solver,
-                        &mut AcWorkspace::default(),
-                    ),
-                }
-                .map(|n| n.out_vrms)
-                .unwrap_or(fail)
-            }
+        let noise = match v.noise {
+            Some(Ok(n)) => n.out_vrms,
+            _ => self.specs[spec_index::NOISE].fail_value,
         };
-
         Ok(vec![settling, cutoff, noise])
     }
 }
@@ -663,6 +525,30 @@ mod tests {
         let a = tia.simulate(&idx, SimMode::Schematic).unwrap();
         let b = tia.simulate(&idx, SimMode::Schematic).unwrap();
         assert_eq!(a, b);
+    }
+
+    /// A wrong index count or an out-of-range index is an options error
+    /// from both `simulate` and `simulate_warm`, in every mode — never a
+    /// panic in the netlist builder.
+    #[test]
+    fn bad_indices_are_invalid_options() {
+        let p = Tia::default();
+        let cards = p.cardinalities();
+        let mut past_end: Vec<usize> = cards.iter().map(|k| k / 2).collect();
+        past_end[1] = cards[1];
+        let short = vec![0; cards.len() - 1];
+        for idx in [vec![], short, past_end] {
+            for mode in [SimMode::Schematic, SimMode::Pex, SimMode::PexWorstCase] {
+                let cold = p.simulate(&idx, mode);
+                let warm = p.simulate_warm(&idx, mode, &mut WarmState::new());
+                for r in [cold, warm] {
+                    assert!(
+                        matches!(r, Err(SimError::InvalidOptions { .. })),
+                        "{idx:?} {mode:?}: {r:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -111,7 +111,7 @@ impl AcWorkspace {
     }
 }
 
-/// Reusable buffers for corner-batched AC sweeps ([`ac_sweep_batch`] and
+/// Reusable buffers for corner-batched AC sweeps ([`ac_sweep_batch_solvers`] and
 /// [`ac_sweep_corners`]) and the corner-batched noise analysis
 /// ([`crate::noise::noise_analysis_batch`]): the lockstep complex batch
 /// LU of the cold AC sweep, one sparse stamp pattern per corner,
@@ -367,7 +367,7 @@ impl<'a> AcSolver<'a> {
 
     /// Collects the sparse `(row, col, g, c)` stamp pattern into a
     /// caller-provided buffer (cleared first) — the per-corner analogue
-    /// of [`AcSolver::prepare_workspace`] used by [`ac_sweep_batch`].
+    /// of [`AcSolver::prepare_workspace`] used by [`ac_sweep_batch_solvers`].
     pub fn collect_pattern(&self, pattern: &mut Vec<(usize, usize, f64, f64)>) {
         pattern.clear();
         for r in 0..self.dim {
@@ -448,23 +448,6 @@ impl<'a> AcSolver<'a> {
                 Ok(())
             }
         }
-    }
-
-    /// Like [`AcSolver::solve_sources`], reusing workspace buffers; the
-    /// solution lives in the workspace and is returned as a slice.
-    ///
-    /// # Errors
-    ///
-    /// Propagates singular-matrix failures from the factorization.
-    pub fn solve_sources_ws<'w>(
-        &self,
-        f: f64,
-        ws: &'w mut AcWorkspace,
-    ) -> Result<&'w [Complex], SimError> {
-        self.factor_at_ws(f, ws)?;
-        let AcWorkspace { lu, x, .. } = ws;
-        lu.solve_into(&self.rhs, x);
-        Ok(x)
     }
 
     /// Batched multi-frequency solve: refactors and solves the
@@ -747,31 +730,12 @@ pub fn ac_sweep(
     })
 }
 
-/// [`ac_sweep`] with reusable workspace buffers: the whole sweep is one
-/// batched pass through the vectorized SoA kernel — the complex system is
-/// stamped and factored in place per point, so the sweep allocates nothing
-/// per frequency. Produces results identical to [`ac_sweep`] (same
-/// assembly, same elimination order); the warm evaluation sessions route
-/// their sweeps through this entry point.
-///
-/// # Errors
-///
-/// Propagates solver failures at any frequency point.
-pub fn ac_sweep_ws(
-    ckt: &Circuit,
-    op: &OpPoint,
-    freqs: &[f64],
-    out: Node,
-    ws: &mut AcWorkspace,
-) -> Result<AcResponse, SimError> {
-    ac_sweep_cfg(ckt, op, freqs, out, SolverConfig::default(), ws)
-}
-
-/// [`ac_sweep_ws`] with an explicit linear-solver backend policy: the
-/// per-point factorization runs dense or sparse per `cfg` (identical
-/// results within solver tolerance; the dense route is bitwise-equal to
-/// [`ac_sweep`]). This is how the sizing topologies thread their
-/// [`SolverConfig`] into the serial evaluation path.
+/// [`ac_sweep`] through reusable workspace buffers and an explicit
+/// linear-solver backend policy: the whole sweep is one batched pass
+/// through [`AcSolver::solve_sources_batch_ws`], which stamps and factors
+/// the complex system in place per point (no per-frequency allocation),
+/// dense or sparse per `cfg` (identical results within solver tolerance;
+/// the dense route is bitwise-equal to [`ac_sweep`]).
 ///
 /// # Errors
 ///
@@ -792,42 +756,24 @@ pub fn ac_sweep_cfg(
     })
 }
 
-/// Corner-batched AC sweep: runs [`ac_sweep`] over a batch of
-/// *same-structure* circuits (the PVT corner set of a worst-case
-/// evaluation, each linearized at its own operating point) in lockstep.
-/// At every frequency the B complex systems `G_b + j w C_b` are stamped
-/// into one [`ComplexLuBatch`] and eliminated together — SIMD over the
-/// corner axis — then back-substituted against each corner's own source
-/// vector.
+/// Corner-batched AC sweep: runs [`ac_sweep`] over the solvers of a
+/// batch of *same-structure* circuits (the PVT corner set of a worst-case
+/// evaluation, each linearized at its own operating point), recording
+/// each corner's transfer to its own output node, in lockstep. At every
+/// frequency the B complex systems `G_b + j w C_b` are stamped into one
+/// [`ComplexLuBatch`] and eliminated together — SIMD over the corner
+/// axis — then back-substituted against each corner's own source vector.
 ///
-/// Per corner the result is bitwise-equal to
-/// [`ac_sweep`]`(ckts[b], ops[b], ..)` (and therefore to
-/// [`ac_sweep_ws`]). Failures are per corner: a corner whose system goes
-/// singular reports the error of its *first* failing frequency, exactly
-/// like the scalar sweep, and is masked off without disturbing its
-/// siblings. Mismatched dimensions and single-corner batches run the
-/// scalar path.
-pub fn ac_sweep_batch(
-    ckts: &[&Circuit],
-    ops: &[&OpPoint],
-    freqs: &[f64],
-    out: Node,
-    ws: &mut AcBatchWorkspace,
-) -> Vec<Result<AcResponse, SimError>> {
-    assert_eq!(ckts.len(), ops.len(), "one operating point per circuit");
-    let solvers: Vec<AcSolver<'_>> = ckts
-        .iter()
-        .zip(ops)
-        .map(|(c, op)| AcSolver::new(c, op))
-        .collect();
-    let outs = vec![out; ckts.len()];
-    ac_sweep_batch_solvers(&solvers, freqs, &outs, ws)
-}
-
-/// [`ac_sweep_batch`] over caller-built solvers with a per-corner output
-/// node — the entry point of the corner evaluation engine, which needs
-/// the linearizations again for the per-corner measurements (settling,
-/// noise) and so builds them once.
+/// Per corner the result is bitwise-equal to [`ac_sweep`] over that
+/// corner's circuit and operating point. Failures are per corner: a
+/// corner whose system goes singular reports the error of its *first*
+/// failing frequency, exactly like the scalar sweep, and is masked off
+/// without disturbing its siblings. Mismatched dimensions and
+/// single-corner batches run the scalar path.
+///
+/// # Panics
+///
+/// Panics if `solvers` and `outs` have different lengths.
 pub fn ac_sweep_batch_solvers(
     solvers: &[AcSolver<'_>],
     freqs: &[f64],
@@ -1728,18 +1674,22 @@ mod tests {
             .iter()
             .map(|(ckt, _)| dc_operating_point(ckt, &DcOptions::default()).unwrap())
             .collect();
-        let ckts: Vec<&Circuit> = variants.iter().map(|(c, _)| c).collect();
-        let oprefs: Vec<&OpPoint> = ops.iter().collect();
+        let solvers: Vec<AcSolver<'_>> = variants
+            .iter()
+            .zip(&ops)
+            .map(|((ckt, _), op)| AcSolver::new(ckt, op))
+            .collect();
         let out = variants[0].1;
+        let outs = vec![out; solvers.len()];
         let freqs = log_freqs(1e3, 1e8, 5);
         let mut ws = AcBatchWorkspace::new();
-        let batch = ac_sweep_batch(&ckts, &oprefs, &freqs, out, &mut ws);
+        let batch = ac_sweep_batch_solvers(&solvers, &freqs, &outs, &mut ws);
         for ((ckt, _), (op, res)) in variants.iter().zip(ops.iter().zip(&batch)) {
             let scalar = ac_sweep(ckt, op, &freqs, out).unwrap();
             assert_eq!(res.as_ref().unwrap(), &scalar);
         }
         // Workspace reuse across a second batch stays bitwise too.
-        let again = ac_sweep_batch(&ckts, &oprefs, &freqs, out, &mut ws);
+        let again = ac_sweep_batch_solvers(&solvers, &freqs, &outs, &mut ws);
         assert_eq!(batch, again);
     }
 

@@ -209,7 +209,7 @@ impl WarmState {
     }
 
     /// The session's reusable corner-batched AC buffers, for routing
-    /// worst-case sweeps through [`crate::ac::ac_sweep_batch`].
+    /// worst-case sweeps through [`crate::ac::ac_sweep_batch_solvers`].
     pub fn ac_batch_workspace(&mut self) -> &mut crate::ac::AcBatchWorkspace {
         &mut self.ac_batch
     }

@@ -483,11 +483,11 @@ pub type StepRecord = Result<(Vec<f64>, Vec<f64>), SimError>;
 ///   constant companion is folded into a precomputed affine propagator
 ///   `x1 = M x0 + k` (`M = A^{-1}(2C/h - G)`, `k = A^{-1} 2b`), so the
 ///   per-step cost drops from a back-substitution pair to one `n^2`
-///   chain-free matrix-vector product — see [`corners_propagator`].
+///   chain-free matrix-vector product (`corners_propagator`).
 ///   Lanes agree with the scalar kernel to solver tolerance.
 /// - **Sparse dims**: the per-step sparse back-substitution is already
 ///   cheap, so the kernel instead factors the **base corner's companion
-///   once**, builds the [`CornerDiff`] low-rank structure over the
+///   once**, builds the `CornerDiff` low-rank structure over the
 ///   per-corner stamp deltas, and recovers every sibling's state per
 ///   step through the Woodbury identity
 ///   (`x_b = y_b - W S_b^{-1} N_b y_b`); each corner's `|R| x |R|`
